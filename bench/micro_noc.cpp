@@ -1,23 +1,18 @@
-// Micro-benchmarks (google-benchmark) for the NoC simulator: cycle
-// throughput under load and end-to-end packet transport cost.
+// Self-timed micro-benchmark for the NoC simulator's engines.
 //
-// Two modes:
-//   $ ./micro_noc [--benchmark_* flags]     # google-benchmark harness
 //   $ ./micro_noc --json BENCH_noc.json
 //
-// The --json mode is the machine-readable perf baseline for the simulation
-// engine: it drives identical injection schedules through the active-set
-// engine and the retained full-scan reference, verifies the two produce
-// byte-identical results (BT, cycles, packets), self-times both step
-// loops, and writes one JSON document (via common/json_writer) that CI
-// uploads as an artifact and gates on: the active-set engine must be >= 2x
+// The machine-readable perf baseline for the simulation engine: it drives
+// identical injection schedules through the active-set engine and the
+// retained full-scan reference, verifies the two produce byte-identical
+// results (BT, cycles, packets), self-times both step loops, and writes
+// one JSON document (via common/json_writer) that CI uploads as an
+// artifact and gates on: the active-set engine must be >= 2x
 // the full scan on sparse 16x16 traffic, and the analytical zero-load
 // backend must reproduce the active-set BT/packet totals exactly at
 // >= 10x less wall-clock on the same sparse schedule (the congestion-free
 // regime it exists for; cycle counts are excluded from that comparison
 // because the step loop runs a fixed cycle budget past the drain point).
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -48,96 +43,6 @@ std::vector<BitVec> random_payloads(unsigned bits, int flits, Rng& rng) {
   }
   return out;
 }
-
-void BM_NetworkStepUnderLoad(benchmark::State& state) {
-  NocConfig cfg;
-  cfg.rows = static_cast<std::int32_t>(state.range(0));
-  cfg.cols = static_cast<std::int32_t>(state.range(0));
-  cfg.flit_payload_bits = 128;
-  Network net(cfg);
-  Rng rng(1);
-  const std::int32_t n = cfg.node_count();
-  for (std::int32_t node = 0; node < n; ++node)
-    net.set_sink(node, [](Packet&&, std::uint64_t) {});
-
-  std::uint64_t injected = 0;
-  for (auto _ : state) {
-    // Keep a steady backlog: one fresh packet per node every 8 cycles.
-    if (net.cycle() % 8 == 0) {
-      for (std::int32_t src = 0; src < n; ++src) {
-        net.inject(src, static_cast<std::int32_t>(rng.uniform_int(0, n - 1)),
-                   random_payloads(128, 4, rng));
-        ++injected;
-      }
-    }
-    net.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(net.stats().flits_delivered));
-  state.counters["cycles"] = static_cast<double>(net.cycle());
-}
-BENCHMARK(BM_NetworkStepUnderLoad)->Arg(4)->Arg(8);
-
-void BM_NetworkStepSparse(benchmark::State& state) {
-  // One 4-flit packet every 64 cycles on a 16x16 mesh: the regime the
-  // active-set engine (range(1) == 0) exists for, vs. the full scan (1).
-  NocConfig cfg;
-  cfg.rows = 16;
-  cfg.cols = 16;
-  cfg.flit_payload_bits = 128;
-  cfg.engine = state.range(0) == 0 ? SimEngine::kActiveSet
-                                   : SimEngine::kFullScan;
-  Network net(cfg);
-  Rng rng(2);
-  const std::int32_t n = cfg.node_count();
-  for (std::int32_t node = 0; node < n; ++node)
-    net.set_sink(node, [](Packet&&, std::uint64_t) {});
-  for (auto _ : state) {
-    if (net.cycle() % 64 == 0) {
-      const auto src = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
-      auto dst = static_cast<std::int32_t>(rng.uniform_int(0, n - 1));
-      if (dst == src) dst = (dst + 1) % n;
-      net.inject(src, dst, random_payloads(128, 4, rng));
-    }
-    net.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(net.cycle()));
-}
-BENCHMARK(BM_NetworkStepSparse)->Arg(0)->Arg(1);
-
-void BM_SinglePacketLatency(benchmark::State& state) {
-  NocConfig cfg;
-  cfg.rows = 8;
-  cfg.cols = 8;
-  cfg.flit_payload_bits = 512;
-  Rng rng(2);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Network net(cfg);
-    net.set_sink(63, [](Packet&&, std::uint64_t) {});
-    auto payloads = random_payloads(512, 8, rng);
-    state.ResumeTiming();
-    net.inject(0, 63, std::move(payloads));
-    benchmark::DoNotOptimize(net.run_until_idle(10'000));
-  }
-}
-BENCHMARK(BM_SinglePacketLatency);
-
-void BM_BtRecorderObserve(benchmark::State& state) {
-  BtRecorder recorder(BtScopeConfig{}, 512);
-  const auto link = recorder.register_link({LinkKind::kInterRouter, 0, 1, kEast});
-  Rng rng(3);
-  const auto payloads = random_payloads(512, 64, rng);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    recorder.observe(link, payloads[i % payloads.size()]);
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BtRecorderObserve);
-
-// ---------------------------------------------------------------------------
-// --json mode: self-timed engine baseline written through JsonWriter.
 
 /// Deterministic outcome + wall-clock of one scheduled run.
 struct EngineRun {
@@ -404,9 +309,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       return run_json_bench(argv[i + 1]);
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::fprintf(stderr, "usage: micro_noc --json FILE\n");
+  return 2;
 }

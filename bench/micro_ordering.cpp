@@ -1,33 +1,28 @@
-// Micro-benchmarks (google-benchmark) for the ordering primitives: the
-// software cost of what the paper implements in 12.91 kGE of hardware.
+// Self-timed micro-benchmark for the ordering primitives: the software
+// cost of what the paper implements in 12.91 kGE of hardware.
 //
-// Two modes:
-//   $ ./micro_ordering [--benchmark_* flags]    # google-benchmark harness
 //   $ ./micro_ordering --json BENCH_ordering.json [--window 32]
 //
-// The --json mode is the machine-readable perf baseline: it self-times the
-// word-packed BT-count kernel against the retained naive per-bit reference
-// and every registered ordering strategy at the given window size, then
-// writes one JSON document (via common/json_writer) that CI uploads as an
-// artifact so future PRs have a regression trajectory to compare against.
-
-#include <benchmark/benchmark.h>
+// Times the word-packed BT-count kernel against the retained naive
+// per-bit reference, every registered kernel tier (single-call and
+// batched), and every registered ordering strategy at the given window
+// size, then writes one JSON document (via common/json_writer) that CI
+// gates on and uploads as an artifact, so future changes have a regression
+// trajectory to compare against. No google-benchmark dependency, so it is
+// always built.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "accel/flitization.h"
-#include "accel/packet_builder.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
-#include "ordering/greedy_chain.h"
-#include "ordering/ordering.h"
 #include "ordering/strategy.h"
 
 using namespace nocbt;
@@ -43,126 +38,6 @@ std::vector<std::uint32_t> random_patterns(std::size_t n, unsigned bits,
     out.push_back(static_cast<std::uint32_t>(rng.bits64() & low_mask(bits)));
   return out;
 }
-
-void BM_PopcountDescendingOrder(benchmark::State& state) {
-  const auto patterns =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 32, 1);
-  for (auto _ : state) {
-    auto perm = ordering::popcount_descending_order(patterns,
-                                                    DataFormat::kFloat32);
-    benchmark::DoNotOptimize(perm);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PopcountDescendingOrder)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_GreedyMinXorChain(benchmark::State& state) {
-  const auto patterns =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 32, 2);
-  for (auto _ : state) {
-    auto perm = ordering::greedy_min_xor_chain(patterns, DataFormat::kFloat32);
-    benchmark::DoNotOptimize(perm);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GreedyMinXorChain)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_OrderStream(benchmark::State& state) {
-  const auto patterns = random_patterns(1 << 16, 8, 3);
-  for (auto _ : state) {
-    auto ordered = ordering::order_stream_descending(
-        patterns, DataFormat::kFixed8,
-        static_cast<std::size_t>(state.range(0)));
-    benchmark::DoNotOptimize(ordered);
-  }
-  state.SetItemsProcessed(state.iterations() * (1 << 16));
-}
-BENCHMARK(BM_OrderStream)->Arg(64)->Arg(256)->Arg(1024);
-
-// The BT-count kernel pair the --json mode baselines: word-packed
-// XOR+popcount vs the naive per-bit reference, per 32-value window.
-void BM_SequenceBtPacked(benchmark::State& state) {
-  const auto window =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 8, 7);
-  for (auto _ : state) {
-    auto bt = ordering::sequence_bt(window, DataFormat::kFixed8);
-    benchmark::DoNotOptimize(bt);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SequenceBtPacked)->Arg(32)->Arg(256)->Arg(4096);
-
-void BM_SequenceBtReference(benchmark::State& state) {
-  const auto window =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 8, 7);
-  for (auto _ : state) {
-    auto bt = ordering::sequence_bt_reference(window, DataFormat::kFixed8);
-    benchmark::DoNotOptimize(bt);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SequenceBtReference)->Arg(32)->Arg(256)->Arg(4096);
-
-void BM_PairwiseHdMatrix(benchmark::State& state) {
-  const auto window =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 32, 8);
-  for (auto _ : state) {
-    auto matrix = ordering::pairwise_hd_matrix(window, DataFormat::kFloat32);
-    benchmark::DoNotOptimize(matrix);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PairwiseHdMatrix)->Arg(32)->Arg(256);
-
-// Every registered strategy at the paper-ish window sizes.
-void BM_Strategy(benchmark::State& state, const char* name, DataFormat format) {
-  const ordering::OrderingStrategy& strategy = ordering::get_strategy(name);
-  const auto window = random_patterns(static_cast<std::size_t>(state.range(0)),
-                                      value_bits(format), 9);
-  for (auto _ : state) {
-    auto perm = strategy.order(window, format);
-    benchmark::DoNotOptimize(perm);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_PackHalfHalf(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto inputs = random_patterns(n, 32, 4);
-  const auto weights = random_patterns(n, 32, 5);
-  const accel::FlitLayout layout{16, 32};
-  for (auto _ : state) {
-    auto flits = accel::pack_half_half(inputs, weights, 7u, layout);
-    benchmark::DoNotOptimize(flits);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PackHalfHalf)->Arg(25)->Arg(150)->Arg(400);
-
-void BM_BuildTaskPacketSeparated(benchmark::State& state) {
-  Rng rng(6);
-  accel::NeuronTask task;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < n; ++i) {
-    task.inputs.push_back(static_cast<float>(rng.uniform(-1, 1)));
-    task.weights.push_back(static_cast<float>(rng.uniform(-1, 1)));
-  }
-  const accel::LayerCodecs codecs{
-      accel::ValueCodec::fixed_calibrated(8, task.weights),
-      accel::ValueCodec::fixed_calibrated(8, task.inputs),
-      accel::ValueCodec::float32()};
-  const accel::FlitLayout layout{16, 8};
-  for (auto _ : state) {
-    auto packet = accel::build_task_packet(
-        task, codecs, ordering::OrderingMode::kSeparated, layout);
-    benchmark::DoNotOptimize(packet);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BuildTaskPacketSeparated)->Arg(25)->Arg(150)->Arg(400);
-
-// ---------------------------------------------------------------------------
-// --json mode: self-timed perf baseline written through JsonWriter.
 
 struct Measurement {
   double mvalues_per_s = 0.0;    ///< windowed values processed per second /1e6
@@ -268,7 +143,7 @@ int run_json_bench(const std::string& path, std::size_t window_values) {
     double best_batched = 0.0;
     bool tiers_identical = true;
     for (const ordering::BtKernelBackend* backend :
-         ordering::registered_kernel_backends()) {
+         ordering::kernel_backends().all()) {
       json.begin_object()
           .key("name").value(backend->name())
           .key("available").value(backend->available());
@@ -319,7 +194,7 @@ int run_json_bench(const std::string& path, std::size_t window_values) {
   const auto fp32_patterns =
       random_patterns(window_values * kNumWindows, 32, 13);
   for (const ordering::OrderingStrategy* strategy :
-       ordering::registered_strategies()) {
+       ordering::strategies().all()) {
     for (const DataFormat format :
          {DataFormat::kFixed8, DataFormat::kFloat32}) {
       const auto& patterns =
@@ -372,20 +247,10 @@ int main(int argc, char** argv) {
       window_values = static_cast<std::size_t>(parsed);
     }
   }
-  if (!json_path.empty()) return run_json_bench(json_path, window_values);
-
-  for (const ordering::OrderingStrategy* strategy :
-       ordering::registered_strategies()) {
-    const std::string name =
-        "BM_Strategy/" + std::string(strategy->name()) + "/fx8";
-    benchmark::RegisterBenchmark(name.c_str(), BM_Strategy,
-                                 strategy->name().data(), DataFormat::kFixed8)
-        ->Arg(32)
-        ->Arg(256);
+  if (json_path.empty()) {
+    std::fprintf(stderr,
+                 "usage: micro_ordering --json FILE [--window VALUES]\n");
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_json_bench(json_path, window_values);
 }

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
 
   std::printf("format=%s  window=%zu values  flit=%u values  n=%zu\n\n",
               to_string(format).c_str(), window, vpf, n);
-  const auto strategies = ordering::registered_strategies();
+  const auto strategies = ordering::strategies().all();
   std::vector<std::string> headers{"Distribution", "BT/flit O0"};
   for (const auto* s : strategies) {
     if (s->name() == "arrival") continue;  // that IS the O0 column

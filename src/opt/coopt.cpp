@@ -18,7 +18,7 @@ std::string format_mw(double mw) {
 CoOptResult run_coopt(Evaluator& eval, const SearchSpace& space,
                       const CoOptConfig& config) {
   space.validate();
-  const Optimizer& optimizer = get_optimizer(config.optimizer);
+  const Optimizer& optimizer = optimizers().get(config.optimizer);
 
   // Phase 1 — baseline sweep: every ordering mode at the baseline
   // coordinates. Ties keep the earlier mode, so the incumbent is stable

@@ -1,7 +1,7 @@
 #include "opt/optimizer.h"
 
 #include <cmath>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -212,71 +212,14 @@ class AnnealOptimizer final : public Optimizer {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<Optimizer>> list;
-
-  Registry() {
-    list.push_back(std::make_unique<RandomOptimizer>());
-    list.push_back(std::make_unique<GreedyCoordinateOptimizer>());
-    list.push_back(std::make_unique<AnnealOptimizer>());
-  }
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
 }  // namespace
 
-const Optimizer* find_optimizer(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& o : reg.list)
-    if (o->name() == name) return o.get();
-  return nullptr;
-}
-
-const Optimizer& get_optimizer(std::string_view name) {
-  if (const Optimizer* o = find_optimizer(name)) return *o;
-  std::string known;
-  for (const Optimizer* o : registered_optimizers()) {
-    if (!known.empty()) known += ", ";
-    known += o->name();
-  }
-  throw std::invalid_argument("get_optimizer: unknown optimizer '" +
-                              std::string(name) + "' (registered: " + known +
-                              ")");
-}
-
-std::vector<const Optimizer*> registered_optimizers() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<const Optimizer*> out;
-  out.reserve(reg.list.size());
-  for (const auto& o : reg.list) out.push_back(o.get());
-  return out;
-}
-
-std::vector<std::string> registered_optimizer_names() {
-  std::vector<std::string> out;
-  for (const Optimizer* o : registered_optimizers()) out.emplace_back(o->name());
-  return out;
-}
-
-void register_optimizer(std::unique_ptr<Optimizer> optimizer) {
-  if (!optimizer)
-    throw std::invalid_argument("register_optimizer: null optimizer");
-  if (optimizer->name().empty())
-    throw std::invalid_argument("register_optimizer: empty optimizer name");
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& o : reg.list)
-    if (o->name() == optimizer->name())
-      throw std::invalid_argument("register_optimizer: duplicate name '" +
-                                  std::string(optimizer->name()) + "'");
-  reg.list.push_back(std::move(optimizer));
+Registry<Optimizer>& optimizers() {
+  static Registry<Optimizer> registry(
+      "optimizer", std::make_unique<RandomOptimizer>(),
+      std::make_unique<GreedyCoordinateOptimizer>(),
+      std::make_unique<AnnealOptimizer>());
+  return registry;
 }
 
 }  // namespace nocbt::opt

@@ -1,9 +1,9 @@
 #pragma once
 // Pluggable search algorithms over the joint placement x ordering space.
-// Mirrors the OrderingStrategy / PlacementPolicy registries: an Optimizer
-// is a registered, stateless, thread-safe search procedure, and new
-// algorithms become selectable by name from the CLI and sweepable by the
-// property tests without touching this layer.
+// Like an OrderingStrategy or PlacementPolicy, an Optimizer is a
+// registered, stateless, thread-safe search procedure, and new algorithms
+// become selectable by name from the CLI and sweepable by the property
+// tests without touching this layer.
 //
 // Built-ins:
 //   random            uniform i.i.d. sampling of the space (the control
@@ -20,11 +20,11 @@
 // to be no worse than the incumbent — run_coopt additionally enforces it.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/registry.h"
 #include "opt/evaluator.h"
 #include "opt/search_space.h"
 
@@ -77,23 +77,8 @@ class Optimizer {
       const Candidate& incumbent, double incumbent_power_mw) const = 0;
 };
 
-/// Registered optimizer by name, or nullptr. Thread-safe.
-[[nodiscard]] const Optimizer* find_optimizer(std::string_view name);
-
-/// Registered optimizer by name; throws std::invalid_argument (listing
-/// the registered names) when absent.
-[[nodiscard]] const Optimizer& get_optimizer(std::string_view name);
-
-/// Snapshot of every registered optimizer, registration order. The
-/// pointers stay valid for the process lifetime.
-[[nodiscard]] std::vector<const Optimizer*> registered_optimizers();
-
-/// Names of every registered optimizer, registration order — the
-/// enumeration hook the property tests and CLIs build from.
-[[nodiscard]] std::vector<std::string> registered_optimizer_names();
-
-/// Add an optimizer to the registry. Throws std::invalid_argument on a
-/// null optimizer or a duplicate/empty name.
-void register_optimizer(std::unique_ptr<Optimizer> optimizer);
+/// The optimizer registry: the built-ins above, in that order, then
+/// anything add()ed.
+[[nodiscard]] Registry<Optimizer>& optimizers();
 
 }  // namespace nocbt::opt

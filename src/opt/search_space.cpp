@@ -33,7 +33,7 @@ void SearchSpace::validate() const {
         "SearchSpace: every axis (placements, modes, windows, formats) "
         "needs at least one value");
   for (const std::string& p : placements)
-    place::get_policy(p);  // throws listing registered names when unknown
+    (void)place::policies().get(p);  // throws listing registered names
   if (has_duplicates(placements))
     throw std::invalid_argument("SearchSpace: duplicate placement in axis");
   if (has_duplicates(modes))

@@ -4,9 +4,9 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "common/bitops.h"
 #include "ordering/bt_kernels.h"
@@ -29,8 +29,8 @@ namespace {
 constexpr std::size_t kHdTile = 128;
 
 /// Blocked upper-triangle fill over pre-masked values, mirrored per tile.
-/// Shared by the scalar and batch64 tiers; the avx2 tier vectorizes the
-/// inner row scan but keeps the same tiling and mirroring.
+/// The base-class matrix kernel; the avx2 tier vectorizes the inner row
+/// scan but keeps the same tiling and mirroring.
 void hd_matrix_blocked(std::span<const std::uint32_t> patterns,
                        DataFormat format, std::span<std::uint8_t> out) {
   const std::size_t n = patterns.size();
@@ -88,96 +88,6 @@ class ScalarBackend final : public BtKernelBackend {
   }
 };
 
-/// Portable batched tier: one PackedStream reused across the whole batch
-/// (zero-alloc steady state via pack_patterns_into) and a 4-way-unrolled
-/// multi-word XOR+popcount that walks each packed window in independent
-/// accumulator chains.
-class Batch64Backend final : public BtKernelBackend {
- public:
-  std::string_view name() const noexcept override { return "batch64"; }
-  std::string_view description() const noexcept override {
-    return "portable batched uint64 tier: packed-stream reuse + unrolled "
-           "multi-word XOR+popcount over whole windows per call";
-  }
-  int priority() const noexcept override { return 10; }
-
-  std::uint64_t sequence_bt(std::span<const std::uint32_t> window,
-                            DataFormat format) const override {
-    PackedStream& stream = scratch();
-    pack_patterns_into(stream, window, format);
-    return sequence_bt_unrolled(stream);
-  }
-
-  void sequence_bt_batch(std::span<const std::uint32_t> patterns,
-                         DataFormat format, std::size_t window_values,
-                         std::span<std::uint64_t> out) const override {
-    check_batch_args(patterns.size(), window_values, out.size());
-    PackedStream& stream = scratch();
-    for (std::size_t w = 0; w < out.size(); ++w) {
-      const std::size_t start = w * window_values;
-      const std::size_t len =
-          std::min(window_values, patterns.size() - start);
-      pack_patterns_into(stream, patterns.subspan(start, len), format);
-      out[w] = sequence_bt_unrolled(stream);
-    }
-  }
-
- private:
-  /// Per-thread packed-stream scratch: campaign workers batch
-  /// concurrently, and the reused heap buffer is what makes the steady
-  /// state allocation-free.
-  static PackedStream& scratch() {
-    thread_local PackedStream stream;
-    return stream;
-  }
-
-  static std::uint64_t sequence_bt_unrolled(const PackedStream& s) noexcept {
-    const std::size_t value_count = s.value_count;
-    const unsigned bits = s.bits_per_value;
-    if (value_count < 2 || bits == 0) return 0;
-    const std::uint64_t* words = s.words.data();
-    const std::size_t word_count = s.words.size();
-    const std::size_t limit = (value_count - 1) * bits;
-    const std::size_t nwords = (limit + 63) / 64;
-    const auto term = [&](std::size_t i) {
-      std::uint64_t shifted = words[i] >> bits;
-      if (i + 1 < word_count) shifted |= words[i + 1] << (64 - bits);
-      std::uint64_t x = words[i] ^ shifted;
-      const std::size_t bits_here = std::min<std::size_t>(64, limit - i * 64);
-      if (bits_here < 64) x &= low_mask(static_cast<unsigned>(bits_here));
-      return static_cast<std::uint64_t>(popcount64(x));
-    };
-    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= nwords; i += 4) {
-      t0 += term(i);
-      t1 += term(i + 1);
-      t2 += term(i + 2);
-      t3 += term(i + 3);
-    }
-    for (; i < nwords; ++i) t0 += term(i);
-    return t0 + t1 + t2 + t3;
-  }
-};
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<BtKernelBackend>> list;
-
-  Registry() {
-    list.push_back(std::make_unique<ScalarBackend>());
-    list.push_back(std::make_unique<Batch64Backend>());
-#ifdef NOCBT_HAVE_AVX2_TU
-    list.push_back(detail_avx2::make_avx2_backend());
-#endif
-  }
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
 /// Innermost live ScopedKernelTier (nullptr when none). A plain atomic:
 /// scopes are test/bench tooling created from one thread at a time, but
 /// worker threads spawned inside a scope read it concurrently.
@@ -185,16 +95,11 @@ std::atomic<const BtKernelBackend*> g_scoped_override{nullptr};
 
 const BtKernelBackend* resolve_default_backend() {
   if (const char* env = std::getenv("NOCBT_KERNEL_TIER"); env && *env) {
-    const BtKernelBackend* chosen = find_kernel_backend(env);
-    if (chosen == nullptr) {
-      std::string known;
-      for (const BtKernelBackend* b : registered_kernel_backends()) {
-        if (!known.empty()) known += ", ";
-        known += b->name();
-      }
-      throw std::runtime_error(
-          "NOCBT_KERNEL_TIER names unknown kernel tier '" + std::string(env) +
-          "' (registered: " + known + ")");
+    const BtKernelBackend* chosen = nullptr;
+    try {
+      chosen = &kernel_backends().get(env);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("NOCBT_KERNEL_TIER: ") + e.what());
     }
     if (!chosen->available())
       throw std::runtime_error("NOCBT_KERNEL_TIER names kernel tier '" +
@@ -203,13 +108,25 @@ const BtKernelBackend* resolve_default_backend() {
     return chosen;
   }
   const BtKernelBackend* best = nullptr;
-  for (const BtKernelBackend* b : registered_kernel_backends())
+  for (const BtKernelBackend* b : kernel_backends().all())
     if (b->available() && (best == nullptr || b->priority() > best->priority()))
       best = b;
   return best;  // scalar is always available, so never null
 }
 
 }  // namespace
+
+Registry<BtKernelBackend>& kernel_backends() {
+#ifdef NOCBT_HAVE_AVX2_TU
+  static Registry<BtKernelBackend> registry(
+      "kernel tier", std::make_unique<ScalarBackend>(),
+      detail_avx2::make_avx2_backend());
+#else
+  static Registry<BtKernelBackend> registry("kernel tier",
+                                            std::make_unique<ScalarBackend>());
+#endif
+  return registry;
+}
 
 void BtKernelBackend::check_batch_args(std::size_t pattern_count,
                                        std::size_t window_values,
@@ -248,57 +165,6 @@ void BtKernelBackend::pairwise_hd_matrix(
   hd_matrix_blocked(patterns, format, out);
 }
 
-const BtKernelBackend* find_kernel_backend(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& b : reg.list)
-    if (b->name() == name) return b.get();
-  return nullptr;
-}
-
-const BtKernelBackend& get_kernel_backend(std::string_view name) {
-  if (const BtKernelBackend* b = find_kernel_backend(name)) return *b;
-  std::string known;
-  for (const BtKernelBackend* b : registered_kernel_backends()) {
-    if (!known.empty()) known += ", ";
-    known += b->name();
-  }
-  throw std::invalid_argument("get_kernel_backend: unknown kernel tier '" +
-                              std::string(name) + "' (registered: " + known +
-                              ")");
-}
-
-std::vector<const BtKernelBackend*> registered_kernel_backends() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<const BtKernelBackend*> out;
-  out.reserve(reg.list.size());
-  for (const auto& b : reg.list) out.push_back(b.get());
-  return out;
-}
-
-std::vector<std::string> registered_kernel_backend_names() {
-  std::vector<std::string> out;
-  for (const BtKernelBackend* b : registered_kernel_backends())
-    out.emplace_back(b->name());
-  return out;
-}
-
-void register_kernel_backend(std::unique_ptr<BtKernelBackend> backend) {
-  if (!backend)
-    throw std::invalid_argument("register_kernel_backend: null backend");
-  if (backend->name().empty())
-    throw std::invalid_argument("register_kernel_backend: empty backend name");
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& b : reg.list)
-    if (b->name() == backend->name())
-      throw std::invalid_argument(
-          "register_kernel_backend: duplicate name '" +
-          std::string(backend->name()) + "'");
-  reg.list.push_back(std::move(backend));
-}
-
 const BtKernelBackend& active_kernel_backend() {
   if (const BtKernelBackend* scoped =
           g_scoped_override.load(std::memory_order_acquire))
@@ -310,7 +176,7 @@ const BtKernelBackend& active_kernel_backend() {
 }
 
 ScopedKernelTier::ScopedKernelTier(std::string_view name) {
-  const BtKernelBackend& chosen = get_kernel_backend(name);
+  const BtKernelBackend& chosen = kernel_backends().get(name);
   if (!chosen.available())
     throw std::runtime_error("ScopedKernelTier: kernel tier '" +
                              std::string(name) +

@@ -5,15 +5,18 @@
 // over word-packed windows — dominates campaign rows and optimizer
 // evaluations now that the analytical NoC backend and the scenario cache
 // removed most simulation cost. This header turns "which machine kernel
-// counts the transitions" into a registered interface mirroring the
-// OrderingStrategy / PlacementPolicy / Optimizer registries:
+// counts the transitions" into a registered interface, held in the same
+// Registry template as the OrderingStrategy / PlacementPolicy / Optimizer
+// registries:
 //
-//   scalar   the PR-3 word-packed uint64 kernels, one window per call
-//   batch64  portable batched tier: zero-alloc packed-stream reuse plus a
-//            4-way-unrolled multi-word XOR+popcount over whole windows
+//   scalar   the word-packed uint64 kernels, one window per call; the
+//            portable tier every host runs
 //   avx2     vpshufb-LUT popcount over 256-bit lanes (AVX-512 vpopcntq
 //            inner loops where the CPU has them), registered only when the
 //            TU could be compiled and available only when CPUID agrees
+//
+// A tier is kept only while it beats the tier below it by >= 1.2x in
+// `micro_ordering --json`, which times every registered tier.
 //
 // Every tier computes the exact same integer sums — the differential
 // suites pin each registered backend byte-identical to the naive per-bit
@@ -27,12 +30,10 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
-#include <memory>
-#include <vector>
 
 #include "common/data_format.h"
+#include "common/registry.h"
 
 namespace nocbt::ordering {
 
@@ -85,24 +86,9 @@ class BtKernelBackend {
                                std::size_t out_size);
 };
 
-/// Registered backend by name, or nullptr. Thread-safe.
-[[nodiscard]] const BtKernelBackend* find_kernel_backend(
-    std::string_view name);
-
-/// Registered backend by name; throws std::invalid_argument (listing the
-/// registered names) when absent.
-[[nodiscard]] const BtKernelBackend& get_kernel_backend(std::string_view name);
-
-/// Snapshot of every registered backend, registration order. Pointers stay
-/// valid for the process lifetime (backends are never removed).
-[[nodiscard]] std::vector<const BtKernelBackend*> registered_kernel_backends();
-
-/// Names of every registered backend, registration order.
-[[nodiscard]] std::vector<std::string> registered_kernel_backend_names();
-
-/// Add a backend to the registry. Throws std::invalid_argument on a null
-/// backend or a duplicate/empty name.
-void register_kernel_backend(std::unique_ptr<BtKernelBackend> backend);
+/// The kernel-tier registry, in registration order: scalar, then avx2
+/// where it was compiled. Unavailable tiers stay registered.
+[[nodiscard]] Registry<BtKernelBackend>& kernel_backends();
 
 /// The tier the free kernel functions dispatch to. Resolution order:
 ///   1. the innermost live ScopedKernelTier, if any;

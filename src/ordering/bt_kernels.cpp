@@ -65,21 +65,13 @@ std::uint64_t sequence_bt_words(const std::uint64_t* words,
 
 PackedStream pack_patterns(std::span<const std::uint32_t> patterns,
                            DataFormat format) {
-  PackedStream out;
-  pack_patterns_into(out, patterns, format);
-  return out;
-}
-
-void pack_patterns_into(PackedStream& out,
-                        std::span<const std::uint32_t> patterns,
-                        DataFormat format) {
   const unsigned bits = value_bits(format);
+  PackedStream out;
   out.value_count = patterns.size();
   out.bits_per_value = bits;
-  // resize (not assign) reuses the buffer without re-zeroing it:
-  // detail::pack_into writes every word including the ragged last one.
   out.words.resize((patterns.size() * bits + 63) / 64);
   detail::pack_into(out.words.data(), patterns, bits, low_mask(bits));
+  return out;
 }
 
 std::uint64_t sequence_bt(const PackedStream& stream) noexcept {

@@ -12,9 +12,9 @@
 // baseline in bench/micro_ordering.
 //
 // The free functions here dispatch through the registered BtKernelBackend
-// tier (bt_kernel_backend.h): scalar, batch64 or avx2 depending on the
-// host CPU and the NOCBT_KERNEL_TIER override. Every tier computes the
-// exact same integer sums, so results are tier-invariant by construction.
+// tier (bt_kernel_backend.h): scalar or avx2 depending on the host CPU and
+// the NOCBT_KERNEL_TIER override. Every tier computes the exact same
+// integer sums, so results are tier-invariant by construction.
 
 #include <cstdint>
 #include <span>
@@ -41,15 +41,6 @@ struct PackedStream {
 /// are masked off (matching pattern_popcount's view of a value).
 [[nodiscard]] PackedStream pack_patterns(std::span<const std::uint32_t> patterns,
                                          DataFormat format);
-
-/// Reuse overload: repack into an existing stream, reusing its word
-/// buffer's capacity. Hot loops that score one window after another (the
-/// batch64 tier, strategy scoring paths) call this instead of
-/// pack_patterns so the steady state allocates nothing — the same idiom as
-/// the PR-5 zero-alloc flit path.
-void pack_patterns_into(PackedStream& out,
-                        std::span<const std::uint32_t> patterns,
-                        DataFormat format);
 
 /// Fast kernel: total transitions between consecutive values of the
 /// stream, computed as popcount(stream XOR (stream >> bits_per_value))

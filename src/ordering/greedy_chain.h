@@ -6,6 +6,10 @@
 // predecessor. This directly minimizes per-step transitions at O(N^2) cost
 // per window, far beyond what the paper's 12.91 kGE bubble-sort unit could
 // afford — which is exactly the trade-off the ablation quantifies.
+//
+// This is the naive reference scan. The chain/hdchain strategies
+// (strategy.h) compute the same permutation over a pairwise-HD matrix,
+// and the tests pin the two identical.
 
 #include <cstdint>
 #include <span>

@@ -1,8 +1,9 @@
 #include "ordering/ordering.h"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
 #include <stdexcept>
+#include <utility>
 
 namespace nocbt::ordering {
 
@@ -21,15 +22,22 @@ std::string to_string(OrderingMode mode) {
 }
 
 OrderingMode parse_ordering_mode(const std::string& s) {
-  if (s == "O0" || s == "baseline") return OrderingMode::kBaseline;
-  if (s == "O1" || s == "affiliated") return OrderingMode::kAffiliated;
-  if (s == "O2" || s == "separated") return OrderingMode::kSeparated;
+  if (s == "O0" || s == "O0-baseline" || s == "baseline")
+    return OrderingMode::kBaseline;
+  if (s == "O1" || s == "O1-affiliated" || s == "affiliated")
+    return OrderingMode::kAffiliated;
+  if (s == "O2" || s == "O2-separated" || s == "separated")
+    return OrderingMode::kSeparated;
   if (s == "chain" || s == "greedy-chain") return OrderingMode::kChain;
   if (s == "hdchain" || s == "hd-chain") return OrderingMode::kHdChain;
   if (s == "bucket" || s == "bucket-sort") return OrderingMode::kBucket;
   if (s == "hybrid") return OrderingMode::kHybrid;
   if (s == "twoflit" || s == "two-flit") return OrderingMode::kTwoFlit;
-  throw std::invalid_argument("parse_ordering_mode: unknown mode '" + s + "'");
+  throw std::invalid_argument(
+      "parse_ordering_mode: unknown mode '" + s +
+      "' (want O0 | O0-baseline | baseline | O1 | O1-affiliated | affiliated "
+      "| O2 | O2-separated | separated | chain | greedy-chain | hdchain | "
+      "hd-chain | bucket | bucket-sort | hybrid | twoflit | two-flit)");
 }
 
 std::string_view mode_strategy_name(OrderingMode mode) noexcept {
@@ -84,13 +92,19 @@ const std::vector<OrderingMode>& all_ordering_modes() {
 
 std::vector<std::uint32_t> popcount_descending_order(
     std::span<const std::uint32_t> patterns, DataFormat format) {
+  // Stable counting sort on the '1'-bit count: count each bucket, turn the
+  // counts into placement offsets from the highest bucket down, then place
+  // indices in arrival order within their bucket. One slot per possible
+  // count of a 32-bit pattern keeps the buckets off the heap.
+  std::array<std::uint32_t, 33> offset{};
+  for (const std::uint32_t p : patterns) ++offset[pattern_popcount(p, format)];
+  std::uint32_t running = 0;
+  for (std::size_t c = offset.size(); c-- > 0;)
+    running += std::exchange(offset[c], running);
   std::vector<std::uint32_t> perm(patterns.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return pattern_popcount(patterns[a], format) >
-                            pattern_popcount(patterns[b], format);
-                   });
+  for (std::size_t i = 0; i < patterns.size(); ++i)
+    perm[offset[pattern_popcount(patterns[i], format)]++] =
+        static_cast<std::uint32_t>(i);
   return perm;
 }
 

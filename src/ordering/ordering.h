@@ -30,14 +30,19 @@ enum class OrderingMode : std::uint8_t {
   kBaseline,    // O0: natural task order
   kAffiliated,  // O1: popcount sort on weights, pairs move together
   kSeparated,   // O2: popcount sort per stream + pairing index
-  kChain,       // affiliated pairing, greedy min-XOR chain (naive reference)
-  kHdChain,     // affiliated pairing, matrix-accelerated HD chaining
-  kBucket,      // affiliated pairing, '1'-count bucket sort (Han et al.)
+  kChain,       // affiliated pairing, greedy min-XOR chain (ablation A4)
+  kHdChain,     // affiliated pairing, the same chain at Li et al.'s HD cost
+  kBucket,      // affiliated pairing, the O1 sort at Han et al.'s unit cost
   kHybrid,      // affiliated pairing, per-window best-of candidate pick
   kTwoFlit,     // affiliated pairing, two-flit interleave of SIII
 };
 
 [[nodiscard]] std::string to_string(OrderingMode mode);
+
+/// Accepts short_mode_name's and to_string's spelling of every mode, plus
+/// the aliases "baseline", "affiliated", "separated", "greedy-chain",
+/// "hd-chain", "bucket-sort" and "two-flit". Throws std::invalid_argument
+/// listing every accepted spelling.
 [[nodiscard]] OrderingMode parse_ordering_mode(const std::string& s);
 
 /// O0: values leave in arrival order, no strategy runs.
@@ -72,7 +77,9 @@ enum class OrderingMode : std::uint8_t {
 
 /// Permutation p such that patterns[p[0]], patterns[p[1]], ... have
 /// non-increasing popcount. Stable: equal-popcount values keep their
-/// original relative order, making the result deterministic.
+/// original relative order, making the result deterministic. A counting
+/// sort, linear in the window; the popcount and bucket strategies, O1/O2
+/// and every other popcount-sorting caller run this one implementation.
 [[nodiscard]] std::vector<std::uint32_t> popcount_descending_order(
     std::span<const std::uint32_t> patterns, DataFormat format);
 

@@ -1,15 +1,13 @@
 #include "ordering/strategy.h"
 
 #include <algorithm>
-#include <mutex>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "common/bitops.h"
 #include "ordering/bt_kernels.h"
-#include "ordering/greedy_chain.h"
-#include "ordering/two_flit.h"
 
 namespace nocbt::ordering {
 
@@ -67,12 +65,12 @@ std::vector<std::uint32_t> materialize_permuted(
   return values;
 }
 
-/// Nearest-neighbor Hamming-distance chain: same semantics as
-/// greedy_min_xor_chain (seed = highest popcount, ties to the lowest
-/// index; successor = minimum HD, ties to the lowest index), but the
-/// distances come from a precomputed pairwise-HD matrix whose row scans
-/// are branch-light and cache-friendly. Windows too large for an N^2
-/// matrix fall back to on-the-fly distances with identical results.
+/// Nearest-neighbor Hamming-distance chain: same semantics as the naive
+/// reference scan in greedy_chain.h (seed = highest popcount, ties to the
+/// lowest index; successor = minimum HD, ties to the lowest index), but
+/// the distances come from a precomputed pairwise-HD matrix whose row
+/// scans are branch-light and cache-friendly. Windows too large for an
+/// N^2 matrix fall back to on-the-fly distances with identical results.
 constexpr std::size_t kHdMatrixMaxWindow = 4096;
 
 std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
@@ -118,16 +116,30 @@ std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
   return perm;
 }
 
-class ArrivalStrategy final : public OrderingStrategy {
+/// Registered name, description and hardware cost of a built-in. Names
+/// that compute the same permutation share one class and differ only here.
+struct StrategyInfo {
+  std::string_view name;
+  std::string_view description;
+  HardwareCost cost;
+};
+
+class BuiltinStrategy : public OrderingStrategy {
  public:
-  std::string_view name() const noexcept override { return "arrival"; }
+  explicit BuiltinStrategy(StrategyInfo info) : info_(std::move(info)) {}
+  std::string_view name() const noexcept override { return info_.name; }
   std::string_view description() const noexcept override {
-    return "identity: values leave in natural task order (O0)";
+    return info_.description;
   }
-  HardwareCost hardware_cost() const override {
-    return {.summary = "none - the ordering unit is bypassed",
-            .relative_area = 0.0};
-  }
+  HardwareCost hardware_cost() const override { return info_.cost; }
+
+ private:
+  StrategyInfo info_;
+};
+
+class ArrivalStrategy final : public BuiltinStrategy {
+ public:
+  using BuiltinStrategy::BuiltinStrategy;
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat) const override {
     return identity_permutation(patterns.size());
@@ -145,105 +157,21 @@ class ArrivalStrategy final : public OrderingStrategy {
   }
 };
 
-class PopcountStrategy final : public OrderingStrategy {
+/// "popcount" and "bucket": the stable '1'-count descending sort.
+class PopcountSortStrategy final : public BuiltinStrategy {
  public:
-  std::string_view name() const noexcept override { return "popcount" ; }
-  std::string_view description() const noexcept override {
-    return "stable '1'-count descending sort (the paper's O1/O2 kernel)";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "SWAR pop-count stage + odd-even transposition network, "
-                "12.91 kGE at 16 lanes (paper Fig. 14)",
-            .relative_area = 1.0};
-  }
+  using BuiltinStrategy::BuiltinStrategy;
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
     return popcount_descending_order(patterns, format);
   }
 };
 
-class BucketStrategy final : public OrderingStrategy {
+/// "chain" and "hdchain": the greedy min-XOR chain, guarded never worse
+/// than arrival order.
+class HdChainingStrategy final : public BuiltinStrategy {
  public:
-  std::string_view name() const noexcept override { return "bucket"; }
-  std::string_view description() const noexcept override {
-    return "'1'-count bucket (counting) sort, descending; permutation "
-           "identical to popcount (Han et al. sorting unit)";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "pop-count stage + W+1 bucket counters and a prefix-sum "
-                "placement pass; comparable area to the sort network but "
-                "fixed two-pass latency",
-            .relative_area = 1.0};
-  }
-  std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
-                                   DataFormat format) const override {
-    const unsigned bits = value_bits(format);
-    std::vector<std::uint32_t> counts(bits + 2, 0);
-    for (const std::uint32_t p : patterns)
-      ++counts[static_cast<unsigned>(pattern_popcount(p, format))];
-    // Descending placement offsets: bucket `bits` first, bucket 0 last.
-    std::vector<std::uint32_t> offset(bits + 1, 0);
-    std::uint32_t running = 0;
-    for (unsigned c = bits + 1; c-- > 0;) {
-      offset[c] = running;
-      running += counts[c];
-    }
-    std::vector<std::uint32_t> perm(patterns.size());
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      const auto c = static_cast<unsigned>(pattern_popcount(patterns[i], format));
-      perm[offset[c]++] = static_cast<std::uint32_t>(i);
-    }
-    return perm;
-  }
-};
-
-class ChainStrategy final : public OrderingStrategy {
- public:
-  std::string_view name() const noexcept override { return "chain"; }
-  std::string_view description() const noexcept override {
-    return "greedy min-XOR chain (naive O(N^2) reference, ablation A4), "
-           "with fall-back to arrival order when chaining would add BT";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "serial nearest-neighbor selection: N XOR+popcount compares "
-                "per emitted value - beyond the paper's sort network",
-            .relative_area = 4.0,
-            .sequential_scan = true};
-  }
-  bool never_worse_than_arrival() const noexcept override { return true; }
-  std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
-                                   DataFormat format) const override {
-    auto perm = greedy_min_xor_chain(patterns, format);
-    // Guard with the naive reference metric: this strategy *is* the
-    // retained reference implementation of HD chaining.
-    const auto chained = apply_permutation(patterns,
-                                           std::span<const std::uint32_t>(perm));
-    if (sequence_bt_reference(chained, format) >
-        sequence_bt_reference(patterns, format))
-      return identity_permutation(patterns.size());
-    return perm;
-  }
-};
-
-class HdChainStrategy final : public OrderingStrategy {
- public:
-  std::string_view name() const noexcept override { return "hdchain"; }
-  std::string_view description() const noexcept override {
-    return "nearest-neighbor Hamming-distance chaining over a precomputed "
-           "pairwise-HD matrix; same permutation as 'chain', word-packed "
-           "kernels underneath";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "N^2/2 HD array filled at line rate + min-scan per emitted "
-                "value (Li et al. operand scheduling); area grows with the "
-                "window, not the paper's fixed-lane unit",
-            .relative_area = 6.0,
-            .sequential_scan = true};
-  }
+  using BuiltinStrategy::BuiltinStrategy;
   bool never_worse_than_arrival() const noexcept override { return true; }
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
@@ -285,22 +213,9 @@ class HdChainStrategy final : public OrderingStrategy {
   }
 };
 
-class HybridStrategy final : public OrderingStrategy {
+class HybridStrategy final : public BuiltinStrategy {
  public:
-  std::string_view name() const noexcept override { return "hybrid"; }
-  std::string_view description() const noexcept override {
-    return "window-adaptive: measures the sequence BT of arrival, popcount "
-           "sort, and HD chaining per window and transmits the cheapest "
-           "(ties prefer the cheaper circuit)";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "popcount unit + chain engine + per-window BT monitors and "
-                "a 2-bit strategy select in the packet header",
-            .relative_area = 7.5,
-            .sequential_scan = true,
-            .per_window_adaptive = true};
-  }
+  using BuiltinStrategy::BuiltinStrategy;
   bool never_worse_than_arrival() const noexcept override { return true; }
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
@@ -366,20 +281,9 @@ class HybridStrategy final : public OrderingStrategy {
   }
 };
 
-class TwoFlitStrategy final : public OrderingStrategy {
+class TwoFlitStrategy final : public BuiltinStrategy {
  public:
-  std::string_view name() const noexcept override { return "twoflit"; }
-  std::string_view description() const noexcept override {
-    return "SIII two-flit interleave: popcount-sort the window, deal "
-           "alternately so x1 >= y1 >= x2 >= y2 >= ..., transmit flit 1 "
-           "then flit 2";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "popcount sort network + an alternating deal crossbar "
-                "(two flit buffers)",
-            .relative_area = 1.2};
-  }
+  using BuiltinStrategy::BuiltinStrategy;
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
     const auto sorted = popcount_descending_order(patterns, format);
@@ -391,26 +295,6 @@ class TwoFlitStrategy final : public OrderingStrategy {
     return perm;
   }
 };
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<OrderingStrategy>> list;
-
-  Registry() {
-    list.push_back(std::make_unique<ArrivalStrategy>());
-    list.push_back(std::make_unique<PopcountStrategy>());
-    list.push_back(std::make_unique<BucketStrategy>());
-    list.push_back(std::make_unique<ChainStrategy>());
-    list.push_back(std::make_unique<HdChainStrategy>());
-    list.push_back(std::make_unique<HybridStrategy>());
-    list.push_back(std::make_unique<TwoFlitStrategy>());
-  }
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
 
 }  // namespace
 
@@ -429,54 +313,65 @@ std::vector<std::uint32_t> OrderingStrategy::order_batch(
   return flat;
 }
 
-const OrderingStrategy* find_strategy(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& s : reg.list)
-    if (s->name() == name) return s.get();
-  return nullptr;
-}
-
-const OrderingStrategy& get_strategy(std::string_view name) {
-  if (const OrderingStrategy* s = find_strategy(name)) return *s;
-  std::string known;
-  for (const OrderingStrategy* s : registered_strategies()) {
-    if (!known.empty()) known += ", ";
-    known += s->name();
-  }
-  throw std::invalid_argument("get_strategy: unknown ordering strategy '" +
-                              std::string(name) + "' (registered: " + known +
-                              ")");
-}
-
-std::vector<const OrderingStrategy*> registered_strategies() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<const OrderingStrategy*> out;
-  out.reserve(reg.list.size());
-  for (const auto& s : reg.list) out.push_back(s.get());
-  return out;
-}
-
-std::vector<std::string> registered_strategy_names() {
-  std::vector<std::string> out;
-  for (const OrderingStrategy* s : registered_strategies())
-    out.emplace_back(s->name());
-  return out;
-}
-
-void register_strategy(std::unique_ptr<OrderingStrategy> strategy) {
-  if (!strategy)
-    throw std::invalid_argument("register_strategy: null strategy");
-  if (strategy->name().empty())
-    throw std::invalid_argument("register_strategy: empty strategy name");
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& s : reg.list)
-    if (s->name() == strategy->name())
-      throw std::invalid_argument("register_strategy: duplicate name '" +
-                                  std::string(strategy->name()) + "'");
-  reg.list.push_back(std::move(strategy));
+Registry<OrderingStrategy>& strategies() {
+  static Registry<OrderingStrategy> registry(
+      "ordering strategy",
+      std::make_unique<ArrivalStrategy>(StrategyInfo{
+          "arrival", "identity: values leave in natural task order (O0)",
+          {.summary = "none - the ordering unit is bypassed",
+           .relative_area = 0.0}}),
+      std::make_unique<PopcountSortStrategy>(StrategyInfo{
+          "popcount",
+          "stable '1'-count descending sort (the paper's O1/O2 kernel)",
+          {.summary = "SWAR pop-count stage + odd-even transposition "
+                      "network, 12.91 kGE at 16 lanes (paper Fig. 14)",
+           .relative_area = 1.0}}),
+      std::make_unique<PopcountSortStrategy>(StrategyInfo{
+          "bucket",
+          "'1'-count bucket (counting) sort, descending; same "
+          "implementation as popcount (Han et al. sorting unit)",
+          {.summary = "pop-count stage + W+1 bucket counters and a "
+                      "prefix-sum placement pass; comparable area to the "
+                      "sort network but fixed two-pass latency",
+           .relative_area = 1.0}}),
+      std::make_unique<HdChainingStrategy>(StrategyInfo{
+          "chain",
+          "greedy min-XOR chain (ablation A4), with fall-back to arrival "
+          "order when chaining would add BT; same implementation as "
+          "hdchain",
+          {.summary = "serial nearest-neighbor selection: N XOR+popcount "
+                      "compares per emitted value - beyond the paper's sort "
+                      "network",
+           .relative_area = 4.0,
+           .sequential_scan = true}}),
+      std::make_unique<HdChainingStrategy>(StrategyInfo{
+          "hdchain",
+          "nearest-neighbor Hamming-distance chaining over a precomputed "
+          "pairwise-HD matrix; same implementation as chain",
+          {.summary = "N^2/2 HD array filled at line rate + min-scan per "
+                      "emitted value (Li et al. operand scheduling); area "
+                      "grows with the window, not the paper's fixed-lane unit",
+           .relative_area = 6.0,
+           .sequential_scan = true}}),
+      std::make_unique<HybridStrategy>(StrategyInfo{
+          "hybrid",
+          "window-adaptive: measures the sequence BT of arrival, popcount "
+          "sort, and HD chaining per window and transmits the cheapest "
+          "(ties prefer the cheaper circuit)",
+          {.summary = "popcount unit + chain engine + per-window BT monitors "
+                      "and a 2-bit strategy select in the packet header",
+           .relative_area = 7.5,
+           .sequential_scan = true,
+           .per_window_adaptive = true}}),
+      std::make_unique<TwoFlitStrategy>(StrategyInfo{
+          "twoflit",
+          "SIII two-flit interleave: popcount-sort the window, deal "
+          "alternately so x1 >= y1 >= x2 >= y2 >= ..., transmit flit 1 "
+          "then flit 2",
+          {.summary = "popcount sort network + an alternating deal crossbar "
+                      "(two flit buffers)",
+           .relative_area = 1.2}}));
+  return registry;
 }
 
 const OrderingStrategy& mode_strategy(OrderingMode mode) {
@@ -487,7 +382,7 @@ const OrderingStrategy& mode_strategy(OrderingMode mode) {
   static const std::vector<const OrderingStrategy*> cache = [] {
     std::vector<const OrderingStrategy*> modes;
     for (const OrderingMode m : all_ordering_modes())
-      modes.push_back(&get_strategy(mode_strategy_name(m)));
+      modes.push_back(&strategies().get(mode_strategy_name(m)));
     return modes;
   }();
   const auto index = static_cast<std::size_t>(mode);

@@ -14,15 +14,21 @@
 // (affiliated vs separated) stay with OrderingMode: every non-O2 mode
 // applies its strategy's permutation to (weight, input) pairs keyed on the
 // weights; O2 applies the popcount strategy per stream plus the pairing
-// index. Registered built-ins:
+// index. Registered built-ins, in registration order:
 //
 //   arrival   identity (O0 reference point)
 //   popcount  stable '1'-count descending sort (the paper's unit, O1/O2)
-//   bucket    '1'-count bucket sort; permutation identical to popcount
-//   chain     greedy min-XOR chain, naive O(N^2) scan (ablation A4)
-//   hdchain   same chain semantics over a precomputed pairwise-HD matrix
+//   bucket    the same sort under the Han et al. sorting unit's cost
+//   chain     greedy min-XOR chain (ablation A4)
+//   hdchain   the same chain under Li et al.'s HD-matrix cost
 //   hybrid    per-window best of {arrival, popcount, chain} by measured BT
 //   twoflit   SIII interleave x1 >= y1 >= x2 >= y2 >= ... across two flits
+//
+// Names that compute the same permutation share one implementation and
+// differ only in description and hardware cost: popcount and bucket run
+// popcount_descending_order's counting sort; chain and hdchain run one
+// greedy chain over a pairwise-HD matrix. The naive chain scan stays in
+// greedy_chain.h as the reference the tests compare against.
 //
 // chain/hdchain/hybrid additionally guarantee they never increase the
 // window's sequence BT versus arrival order (they fall back to the
@@ -30,13 +36,13 @@
 // the invariant the property suite asserts for every chain-class strategy.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/data_format.h"
+#include "common/registry.h"
 #include "ordering/ordering.h"
 
 namespace nocbt::ordering {
@@ -97,25 +103,8 @@ class OrderingStrategy {
   }
 };
 
-/// Registered strategy by name, or nullptr. Thread-safe.
-[[nodiscard]] const OrderingStrategy* find_strategy(std::string_view name);
-
-/// Registered strategy by name; throws std::invalid_argument (listing the
-/// registered names) when absent.
-[[nodiscard]] const OrderingStrategy& get_strategy(std::string_view name);
-
-/// Snapshot of every registered strategy, registration order. The pointers
-/// stay valid for the process lifetime (strategies are never removed).
-[[nodiscard]] std::vector<const OrderingStrategy*> registered_strategies();
-
-/// Names of every registered strategy, registration order — the
-/// enumeration hook exhaustive sweeps and the co-optimizer build their
-/// strategy axis from (get_strategy accepts each returned name).
-[[nodiscard]] std::vector<std::string> registered_strategy_names();
-
-/// Add a strategy to the registry. Throws std::invalid_argument on a null
-/// strategy or a duplicate/empty name.
-void register_strategy(std::unique_ptr<OrderingStrategy> strategy);
+/// The strategy registry: the built-ins above, then anything add()ed.
+[[nodiscard]] Registry<OrderingStrategy>& strategies();
 
 /// The strategy an OrderingMode reorders with (see mode_strategy_name).
 [[nodiscard]] const OrderingStrategy& mode_strategy(OrderingMode mode);

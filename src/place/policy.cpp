@@ -1,9 +1,8 @@
 #include "place/policy.h"
 
 #include <algorithm>
-#include <mutex>
+#include <memory>
 #include <stdexcept>
-#include <utility>
 
 namespace nocbt::place {
 
@@ -88,71 +87,17 @@ class NearMcPolicy final : public PlacementPolicy {
   }
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<PlacementPolicy>> list;
-
-  Registry() {
-    list.push_back(std::make_unique<RowMajorPolicy>());
-    list.push_back(std::make_unique<SnakePolicy>());
-    list.push_back(std::make_unique<NearMcPolicy>());
-  }
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
-}
-
 }  // namespace
 
-const PlacementPolicy* find_policy(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& p : reg.list)
-    if (p->name() == name) return p.get();
-  return nullptr;
-}
-
-const PlacementPolicy& get_policy(std::string_view name) {
-  if (const PlacementPolicy* p = find_policy(name)) return *p;
-  std::string known;
-  for (const PlacementPolicy* p : registered_policies()) {
-    if (!known.empty()) known += ", ";
-    known += p->name();
-  }
-  throw std::invalid_argument("get_policy: unknown placement policy '" +
-                              std::string(name) + "' (registered: " + known +
-                              ")");
-}
-
-std::vector<const PlacementPolicy*> registered_policies() {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<const PlacementPolicy*> out;
-  out.reserve(reg.list.size());
-  for (const auto& p : reg.list) out.push_back(p.get());
-  return out;
+Registry<PlacementPolicy>& policies() {
+  static Registry<PlacementPolicy> registry(
+      "placement policy", std::make_unique<RowMajorPolicy>(),
+      std::make_unique<SnakePolicy>(), std::make_unique<NearMcPolicy>());
+  return registry;
 }
 
 std::vector<std::string> registered_policy_names() {
-  std::vector<std::string> out;
-  for (const PlacementPolicy* p : registered_policies())
-    out.emplace_back(p->name());
-  return out;
-}
-
-void register_policy(std::unique_ptr<PlacementPolicy> policy) {
-  if (!policy) throw std::invalid_argument("register_policy: null policy");
-  if (policy->name().empty())
-    throw std::invalid_argument("register_policy: empty policy name");
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& p : reg.list)
-    if (p->name() == policy->name())
-      throw std::invalid_argument("register_policy: duplicate name '" +
-                                  std::string(policy->name()) + "'");
-  reg.list.push_back(std::move(policy));
+  return policies().names();
 }
 
 }  // namespace nocbt::place

@@ -1,8 +1,8 @@
 #pragma once
 // Pluggable placement policies: in which order the mesh's PE tiles are
-// handed out to layer tiles. Mirrors the OrderingStrategy registry — a
-// policy is a registered, stateless, thread-safe pure function, and new
-// policies become sweepable from the campaign runner by name.
+// handed out to layer tiles. Like an OrderingStrategy, a policy is a
+// registered, stateless, thread-safe pure function, and new policies
+// become sweepable from the campaign runner by name.
 //
 // Built-ins:
 //   rowmajor  PEs in node-id order (row-major across the mesh)
@@ -16,12 +16,12 @@
 // consecutive layers stay on disjoint PEs when the mesh is large enough.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "accel/mapping.h"
+#include "common/registry.h"
 #include "noc/routing.h"
 
 namespace nocbt::place {
@@ -44,24 +44,12 @@ class PlacementPolicy {
       std::int32_t n_tiles, std::int64_t tile_offset) const = 0;
 };
 
-/// Registered policy by name, or nullptr. Thread-safe.
-[[nodiscard]] const PlacementPolicy* find_policy(std::string_view name);
+/// The placement-policy registry: the built-ins above, in that order,
+/// then anything add()ed.
+[[nodiscard]] Registry<PlacementPolicy>& policies();
 
-/// Registered policy by name; throws std::invalid_argument (listing the
-/// registered names) when absent.
-[[nodiscard]] const PlacementPolicy& get_policy(std::string_view name);
-
-/// Snapshot of every registered policy, registration order. The pointers
-/// stay valid for the process lifetime (policies are never removed).
-[[nodiscard]] std::vector<const PlacementPolicy*> registered_policies();
-
-/// Names of every registered policy, registration order — the enumeration
-/// hook the co-optimizer and sweep front-ends build their placement axis
-/// from (get_policy accepts each returned name).
+/// policies().names(): the enumeration hook the co-optimizer and sweep
+/// front-ends build their placement axis from.
 [[nodiscard]] std::vector<std::string> registered_policy_names();
-
-/// Add a policy to the registry. Throws std::invalid_argument on a null
-/// policy or a duplicate/empty name.
-void register_policy(std::unique_ptr<PlacementPolicy> policy);
 
 }  // namespace nocbt::place

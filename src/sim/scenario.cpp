@@ -176,7 +176,7 @@ void ScenarioSpec::validate() const {
           " nodes are memory controllers; want a value in [1, " +
           std::to_string(pe_count) + "])");
     (void)dnn::zoo_model_spec(model);    // throws listing the zoo names
-    (void)place::get_policy(placement);  // throws listing the policies
+    (void)place::policies().get(placement);  // throws listing the policies
   }
 }
 

@@ -361,7 +361,12 @@ const SharedSchedule::Derived& SharedSchedule::derived(
       d.inputs_bt = ordering::sequence_bt_batch(d.inputs_concat, format, wv);
     }
     derived_ = std::move(d);
+    format_ = format;
   });
+  if (format != format_)
+    throw std::logic_error("SharedSchedule::derived: built for " +
+                           to_string(format_) + ", asked for " +
+                           to_string(format));
   return derived_;
 }
 

@@ -60,12 +60,15 @@ struct SharedSchedule {
     std::vector<std::uint64_t> inputs_bt;
   };
 
-  /// Derived block, built exactly once (thread-safe). The schedule cache
-  /// key pins the format, so every caller passes the same one.
+  /// Derived block, built exactly once (thread-safe) for the format of
+  /// the first call. The schedule cache key pins the format, so a later
+  /// call with another format is a caller bug: it throws std::logic_error
+  /// naming both formats.
   [[nodiscard]] const Derived& derived(DataFormat format) const;
 
  private:
   mutable std::once_flag once_;
+  mutable DataFormat format_{};  // written once, inside once_
   mutable Derived derived_;
 };
 

@@ -259,7 +259,7 @@ class PlacementGenerator final : public TrafficGenerator {
     const accel::NodeRoles roles = accel::assign_roles(mesh, spec.num_mcs);
     const place::Placement placed = place::place_model(
         model, dnn::zoo_model_spec(spec.model).input, mesh, roles,
-        place::get_policy(spec.placement), spec.tiles_per_layer);
+        place::policies().get(spec.placement), spec.tiles_per_layer);
 
     place::TrafficConfig traffic;
     traffic.pairs_per_packet = spec.window;

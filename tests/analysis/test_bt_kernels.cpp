@@ -70,7 +70,7 @@ TEST(SequenceBtKernel, EveryKernelTierMatchesNaiveReference) {
   // backend API itself — this guards the dispatched free functions the
   // strategies and sim actually call).
   for (const ordering::BtKernelBackend* backend :
-       ordering::registered_kernel_backends()) {
+       ordering::kernel_backends().all()) {
     if (!backend->available()) continue;
     const ordering::ScopedKernelTier force(backend->name());
     for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {

@@ -55,7 +55,7 @@ void expect_same_outcome(const CoOptResult& a, const CoOptResult& b) {
 }
 
 TEST(OptPropertySuite, EveryOptimizerIsDeterministicAndGuardedOnEveryMode) {
-  for (const std::string& optimizer : registered_optimizer_names()) {
+  for (const std::string& optimizer : optimizers().names()) {
     for (const ordering::OrderingMode mode : ordering::all_ordering_modes()) {
       SCOPED_TRACE("optimizer=" + optimizer +
                    " mode=" + ordering::short_mode_name(mode));
@@ -89,7 +89,7 @@ TEST(OptPropertySuite, DifferentSeedsMayDivergeButStayGuarded) {
   const SearchSpace space =
       SearchSpace::from_campaign(base, place::registered_policy_names());
   Evaluator eval(base);  // shared memo: seeds differ, measurements don't
-  for (const std::string& optimizer : registered_optimizer_names()) {
+  for (const std::string& optimizer : optimizers().names()) {
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
       SCOPED_TRACE("optimizer=" + optimizer + " seed=" +
                    std::to_string(seed));
@@ -111,7 +111,7 @@ TEST(OptPropertySuite, SinglePointSpaceReturnsTheIncumbent) {
   space.modes = {ordering::OrderingMode::kBaseline};
   space.windows = {32};
   space.formats = {DataFormat::kFixed8};
-  for (const std::string& optimizer : registered_optimizer_names()) {
+  for (const std::string& optimizer : optimizers().names()) {
     SCOPED_TRACE("optimizer=" + optimizer);
     CoOptConfig config;
     config.optimizer = optimizer;

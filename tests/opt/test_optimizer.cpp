@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -42,29 +41,30 @@ sim::CampaignSpec resnet_template() {
 }
 
 TEST(OptimizerRegistry, BuiltinsAreRegisteredInOrder) {
-  const std::vector<std::string> names = registered_optimizer_names();
+  const std::vector<std::string> names = optimizers().names();
   ASSERT_GE(names.size(), 3u);
-  for (const char* builtin : {"random", "greedy-coordinate", "anneal"})
-    EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
-        << builtin;
+  EXPECT_EQ(names[0], "random");
+  EXPECT_EQ(names[1], "greedy-coordinate");
+  EXPECT_EQ(names[2], "anneal");
   for (const std::string& name : names)
-    EXPECT_EQ(get_optimizer(name).name(), name);
+    EXPECT_EQ(optimizers().get(name).name(), name);
 }
 
 TEST(OptimizerRegistry, UnknownNameThrowsListingRegistered) {
-  EXPECT_EQ(find_optimizer("no-such-search"), nullptr);
+  EXPECT_EQ(optimizers().find("no-such-search"), nullptr);
   try {
-    (void)get_optimizer("no-such-search");
-    FAIL() << "expected get_optimizer to throw";
+    (void)optimizers().get("no-such-search");
+    FAIL() << "expected optimizers().get to throw";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
+    EXPECT_NE(msg.find("optimizer"), std::string::npos) << msg;
     EXPECT_NE(msg.find("no-such-search"), std::string::npos) << msg;
     EXPECT_NE(msg.find("anneal"), std::string::npos) << msg;
   }
 }
 
 TEST(OptimizerRegistry, RejectsNullAndDuplicate) {
-  EXPECT_THROW(register_optimizer(nullptr), std::invalid_argument);
+  EXPECT_THROW(optimizers().add(nullptr), std::invalid_argument);
 
   class Dup final : public Optimizer {
    public:
@@ -76,8 +76,9 @@ TEST(OptimizerRegistry, RejectsNullAndDuplicate) {
       return SearchOutcome{incumbent, incumbent_power_mw, {}};
     }
   };
-  EXPECT_THROW(register_optimizer(std::make_unique<Dup>()),
+  EXPECT_THROW(optimizers().add(std::make_unique<Dup>()),
                std::invalid_argument);
+  EXPECT_NE(optimizers().get("anneal").description(), "dup");
 }
 
 TEST(SearchSpaceChecks, ValidateRejectsBadAxes) {

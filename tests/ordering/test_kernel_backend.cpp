@@ -1,6 +1,6 @@
 // Registry, dispatch, and differential suites for the BtKernelBackend
 // kernel tier. The load-bearing invariant is byte-identity: every
-// registered backend — scalar, batch64, avx2 where the host has it — must
+// registered backend — scalar, and avx2 where the host has it — must
 // return exactly the sums of the naive per-bit reference, batched entry
 // points must equal their looped counterparts, and forcing any tier via
 // ScopedKernelTier must never change a result. The campaign golden suite
@@ -58,37 +58,42 @@ const std::size_t kWindowSizes[] = {0u,  1u,  2u,  7u,   8u,   9u,
 const DataFormat kFormats[] = {DataFormat::kFixed8, DataFormat::kFloat32};
 
 TEST(KernelRegistry, BuiltinsRegisteredInPriorityOrder) {
-  const auto names = registered_kernel_backend_names();
-  ASSERT_GE(names.size(), 2u);
+  const auto names = kernel_backends().names();
+  ASSERT_GE(names.size(), 1u);
   EXPECT_EQ(names[0], "scalar");
-  EXPECT_EQ(names[1], "batch64");
+  if (names.size() > 1) {
+    EXPECT_EQ(names[1], "avx2");
+  }
   for (const std::string& name : names) {
-    const BtKernelBackend* backend = find_kernel_backend(name);
+    const BtKernelBackend* backend = kernel_backends().find(name);
     ASSERT_NE(backend, nullptr) << name;
-    EXPECT_EQ(&get_kernel_backend(name), backend);
+    EXPECT_EQ(&kernel_backends().get(name), backend);
     EXPECT_FALSE(backend->description().empty()) << name;
   }
   // scalar is the always-available floor the dispatcher can fall back to.
-  EXPECT_TRUE(get_kernel_backend("scalar").available());
-  EXPECT_EQ(get_kernel_backend("scalar").priority(), 0);
-  EXPECT_GT(get_kernel_backend("batch64").priority(), 0);
-  EXPECT_EQ(find_kernel_backend("no-such-tier"), nullptr);
+  EXPECT_TRUE(kernel_backends().get("scalar").available());
+  EXPECT_EQ(kernel_backends().get("scalar").priority(), 0);
+  if (const BtKernelBackend* avx2 = kernel_backends().find("avx2")) {
+    EXPECT_GT(avx2->priority(), 0);
+  }
+  EXPECT_EQ(kernel_backends().find("no-such-tier"), nullptr);
 }
 
 TEST(KernelRegistry, GetUnknownThrowsListingRegisteredNames) {
   try {
-    (void)get_kernel_backend("warp9");
+    (void)kernel_backends().get("warp9");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
+    EXPECT_NE(what.find("kernel tier"), std::string::npos);
     EXPECT_NE(what.find("warp9"), std::string::npos);
-    EXPECT_NE(what.find("scalar"), std::string::npos);
-    EXPECT_NE(what.find("batch64"), std::string::npos);
+    for (const std::string& name : kernel_backends().names())
+      EXPECT_NE(what.find(name), std::string::npos) << name;
   }
 }
 
 TEST(KernelRegistry, RegisterRejectsNullAndDuplicateNames) {
-  EXPECT_THROW(register_kernel_backend(nullptr), std::invalid_argument);
+  EXPECT_THROW(kernel_backends().add(nullptr), std::invalid_argument);
 
   class DuplicateScalar final : public BtKernelBackend {
    public:
@@ -100,8 +105,9 @@ TEST(KernelRegistry, RegisterRejectsNullAndDuplicateNames) {
       return 0;
     }
   };
-  EXPECT_THROW(register_kernel_backend(std::make_unique<DuplicateScalar>()),
+  EXPECT_THROW(kernel_backends().add(std::make_unique<DuplicateScalar>()),
                std::invalid_argument);
+  EXPECT_EQ(kernel_backends().get("scalar").priority(), 0);
 }
 
 TEST(KernelDispatch, ActiveBackendHonorsEnvOrPicksBestAvailable) {
@@ -112,7 +118,7 @@ TEST(KernelDispatch, ActiveBackendHonorsEnvOrPicksBestAvailable) {
     // resolution must have obeyed it.
     EXPECT_EQ(active.name(), env);
   } else {
-    for (const BtKernelBackend* backend : registered_kernel_backends())
+    for (const BtKernelBackend* backend : kernel_backends().all())
       if (backend->available())
         EXPECT_GE(active.priority(), backend->priority()) << backend->name();
   }
@@ -120,12 +126,16 @@ TEST(KernelDispatch, ActiveBackendHonorsEnvOrPicksBestAvailable) {
 
 TEST(KernelDispatch, ScopedTierForcesAndRestores) {
   const std::string before{active_kernel_backend().name()};
+  // Hosts without avx2 nest scalar in scalar, which still must restore.
+  const BtKernelBackend* avx2 = kernel_backends().find("avx2");
+  const std::string inner_tier =
+      avx2 != nullptr && avx2->available() ? "avx2" : "scalar";
   {
     const ScopedKernelTier outer("scalar");
     EXPECT_EQ(active_kernel_backend().name(), "scalar");
     {
-      const ScopedKernelTier inner("batch64");
-      EXPECT_EQ(active_kernel_backend().name(), "batch64");
+      const ScopedKernelTier inner(inner_tier);
+      EXPECT_EQ(active_kernel_backend().name(), inner_tier);
     }
     EXPECT_EQ(active_kernel_backend().name(), "scalar");
   }
@@ -137,7 +147,7 @@ TEST(KernelDispatch, ScopedTierRejectsUnknownNames) {
 }
 
 TEST(KernelDifferential, EveryBackendMatchesNaiveReference) {
-  for (const BtKernelBackend* backend : registered_kernel_backends()) {
+  for (const BtKernelBackend* backend : kernel_backends().all()) {
     if (!backend->available()) continue;
     for (const DataFormat format : kFormats) {
       for (const std::size_t n : kWindowSizes) {
@@ -159,7 +169,7 @@ TEST(KernelDifferential, EveryBackendMatchesNaiveReference) {
 }
 
 TEST(KernelDifferential, BatchEqualsLoopedSequenceBt) {
-  for (const BtKernelBackend* backend : registered_kernel_backends()) {
+  for (const BtKernelBackend* backend : kernel_backends().all()) {
     if (!backend->available()) continue;
     for (const DataFormat format : kFormats) {
       const auto patterns = random_patterns(257, value_bits(format), 4242);
@@ -184,7 +194,7 @@ TEST(KernelDifferential, BatchEqualsLoopedSequenceBt) {
 TEST(KernelDifferential, BatchValidatesWindowAndOutSizes) {
   const auto patterns = random_patterns(10, 8, 7);
   std::vector<std::uint64_t> out(4);  // 10 values at wv=3 form 4 windows
-  for (const BtKernelBackend* backend : registered_kernel_backends()) {
+  for (const BtKernelBackend* backend : kernel_backends().all()) {
     if (!backend->available()) continue;
     EXPECT_THROW(
         backend->sequence_bt_batch(patterns, DataFormat::kFixed8, 0, out),
@@ -200,7 +210,7 @@ TEST(KernelDifferential, BatchValidatesWindowAndOutSizes) {
 }
 
 TEST(KernelDifferential, PairwiseHdMatrixMatchesDirectPopcount) {
-  for (const BtKernelBackend* backend : registered_kernel_backends()) {
+  for (const BtKernelBackend* backend : kernel_backends().all()) {
     if (!backend->available()) continue;
     for (const DataFormat format : kFormats) {
       // 150 spans two 128-wide tiles, so inter-tile mirroring is covered.
@@ -243,7 +253,7 @@ TEST(KernelFreeFunctions, DispatchedEntryPointsAreTierInvariant) {
       const ScopedKernelTier force("scalar");
       return pairwise_hd_matrix(std::span(patterns).first(64), format);
     }();
-    for (const BtKernelBackend* backend : registered_kernel_backends()) {
+    for (const BtKernelBackend* backend : kernel_backends().all()) {
       if (!backend->available()) continue;
       const ScopedKernelTier force(backend->name());
       EXPECT_EQ(sequence_bt(patterns, format), ref_bt) << backend->name();
@@ -264,26 +274,6 @@ TEST(KernelFreeFunctions, BatchHelperSizesOutputAndValidates) {
   EXPECT_THROW(sequence_bt_batch(patterns, DataFormat::kFixed8, 0),
                std::invalid_argument);
   EXPECT_TRUE(sequence_bt_batch({}, DataFormat::kFixed8, 8).empty());
-}
-
-TEST(KernelFreeFunctions, PackPatternsIntoReusesCapacity) {
-  PackedStream stream;
-  const auto big = random_patterns(1024, 8, 9);
-  pack_patterns_into(stream, big, DataFormat::kFixed8);
-  EXPECT_EQ(stream.value_count, big.size());
-  EXPECT_EQ(sequence_bt(stream), sequence_bt_reference(big, DataFormat::kFixed8));
-  const std::uint64_t* before = stream.words.data();
-  const std::size_t capacity = stream.words.capacity();
-  // A smaller repack must reuse the buffer (zero-alloc steady state) and
-  // still match a fresh pack bit for bit.
-  const auto small = random_patterns(40, 32, 11);
-  pack_patterns_into(stream, small, DataFormat::kFloat32);
-  EXPECT_EQ(stream.words.data(), before);
-  EXPECT_EQ(stream.words.capacity(), capacity);
-  const PackedStream fresh = pack_patterns(small, DataFormat::kFloat32);
-  EXPECT_EQ(stream.value_count, fresh.value_count);
-  EXPECT_EQ(stream.bits_per_value, fresh.bits_per_value);
-  EXPECT_EQ(stream.words, fresh.words);
 }
 
 }  // namespace

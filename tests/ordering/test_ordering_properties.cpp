@@ -9,7 +9,7 @@
 //   P3  ordering is deterministic: the same window yields the same
 //       permutation on every call (strategies are pure functions).
 //
-// The suite iterates registered_strategies(), so a strategy added to the
+// The suite iterates strategies().all(), so a strategy added to the
 // registry — including ones registered by other tests in this binary — is
 // covered automatically.
 
@@ -46,7 +46,7 @@ constexpr std::size_t kWindowSizes[] = {0, 1, 2, 3, 5, 8, 15, 16,
 constexpr std::uint64_t kSeeds[] = {1, 42, 977};
 
 TEST(OrderingStrategyProperties, OrderIsAValidPermutation) {
-  for (const OrderingStrategy* strategy : registered_strategies()) {
+  for (const OrderingStrategy* strategy : strategies().all()) {
     for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
       for (const std::size_t n : kWindowSizes) {
         for (const std::uint64_t seed : kSeeds) {
@@ -70,7 +70,7 @@ TEST(OrderingStrategyProperties, OrderIsAValidPermutation) {
 }
 
 TEST(OrderingStrategyProperties, ChainClassNeverIncreasesWindowBt) {
-  for (const OrderingStrategy* strategy : registered_strategies()) {
+  for (const OrderingStrategy* strategy : strategies().all()) {
     if (!strategy->never_worse_than_arrival()) continue;
     for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
       for (const std::size_t n : kWindowSizes) {
@@ -92,7 +92,7 @@ TEST(OrderingStrategyProperties, AdversarialWindowsRespectTheChainGuard) {
   // lose — the guard must kick in (or the chain genuinely tie).
   const std::vector<std::uint32_t> gray = {0x00, 0x01, 0x03, 0x02,
                                            0x06, 0x07, 0x05, 0x04};
-  for (const OrderingStrategy* strategy : registered_strategies()) {
+  for (const OrderingStrategy* strategy : strategies().all()) {
     if (!strategy->never_worse_than_arrival()) continue;
     const auto perm = strategy->order(gray, DataFormat::kFixed8);
     EXPECT_LE(permuted_sequence_bt(gray, perm, DataFormat::kFixed8),
@@ -102,7 +102,7 @@ TEST(OrderingStrategyProperties, AdversarialWindowsRespectTheChainGuard) {
 }
 
 TEST(OrderingStrategyProperties, OrderIsDeterministicForAFixedWindow) {
-  for (const OrderingStrategy* strategy : registered_strategies()) {
+  for (const OrderingStrategy* strategy : strategies().all()) {
     for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
       for (const std::size_t n : {std::size_t{16}, std::size_t{33}}) {
         const auto window = random_window(n, format, 1234 + n);
@@ -119,7 +119,7 @@ TEST(OrderingStrategyProperties, StreamOrderingPreservesEveryWindowsValues) {
   // whole stream re-emitted, window boundaries intact.
   const DataFormat format = DataFormat::kFixed8;
   const auto stream = random_window(101, format, 5);  // ragged tail window
-  for (const OrderingStrategy* strategy : registered_strategies()) {
+  for (const OrderingStrategy* strategy : strategies().all()) {
     const auto ordered = order_stream_with(*strategy, stream, format, 16);
     ASSERT_EQ(ordered.size(), stream.size()) << strategy->name();
     for (std::size_t start = 0; start < stream.size(); start += 16) {

@@ -36,14 +36,15 @@ Placement place_zoo_model(const std::string& model_name,
   const noc::MeshShape mesh(kRows, kCols);
   const accel::NodeRoles roles = accel::assign_roles(mesh, kMcs);
   return place_model(model, dnn::zoo_model_spec(model_name).input, mesh,
-                     roles, get_policy(policy_name), kTilesPerLayer);
+                     roles, policies().get(policy_name), kTilesPerLayer);
 }
 
 TEST(PlacePropertySuite, RegistryEnumerationMatchesLookup) {
   const std::vector<std::string> names = registered_policy_names();
   ASSERT_FALSE(names.empty());
   // Every enumerated name resolves, and the built-ins are present.
-  for (const std::string& name : names) EXPECT_EQ(get_policy(name).name(), name);
+  for (const std::string& name : names)
+    EXPECT_EQ(policies().get(name).name(), name);
   for (const char* builtin : {"rowmajor", "snake", "nearmc"})
     EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
         << "built-in policy missing: " << builtin;

@@ -35,7 +35,7 @@ struct Mesh4x4 {
 Placement place(const Sequential& model, Shape input, std::int32_t tiles,
                 const Mesh4x4& m = Mesh4x4{},
                 const char* policy = "rowmajor") {
-  return place_model(model, input, m.shape, m.roles, get_policy(policy),
+  return place_model(model, input, m.shape, m.roles, policies().get(policy),
                      tiles);
 }
 
@@ -190,7 +190,7 @@ TEST(Placement, ErrorSurface) {
   accel::NodeRoles no_pes;
   no_pes.mcs = m.roles.mcs;
   EXPECT_THROW((void)place_model(weighted, Shape{1, 1, 4, 4}, m.shape, no_pes,
-                                 get_policy("rowmajor"), 2),
+                                 policies().get("rowmajor"), 2),
                std::invalid_argument);
   // A residual whose body has no weighted layers is unplaceable.
   Sequential relu_body;

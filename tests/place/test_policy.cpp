@@ -19,25 +19,26 @@ accel::NodeRoles roles_4x4mc2() {
 }
 
 TEST(PolicyRegistry, BuiltinsAreRegisteredInOrder) {
-  const auto policies = registered_policies();
-  ASSERT_GE(policies.size(), 3u);
-  EXPECT_EQ(policies[0]->name(), "rowmajor");
-  EXPECT_EQ(policies[1]->name(), "snake");
-  EXPECT_EQ(policies[2]->name(), "nearmc");
-  for (const auto* p : policies) {
+  const auto all = policies().all();
+  ASSERT_GE(all.size(), 3u);
+  EXPECT_EQ(all[0]->name(), "rowmajor");
+  EXPECT_EQ(all[1]->name(), "snake");
+  EXPECT_EQ(all[2]->name(), "nearmc");
+  for (const auto* p : all) {
     EXPECT_FALSE(p->description().empty()) << p->name();
-    EXPECT_EQ(find_policy(p->name()), p);
-    EXPECT_EQ(&get_policy(p->name()), p);
+    EXPECT_EQ(policies().find(p->name()), p);
+    EXPECT_EQ(&policies().get(p->name()), p);
   }
 }
 
 TEST(PolicyRegistry, UnknownNameThrowsListingRegistered) {
-  EXPECT_EQ(find_policy("zigzag"), nullptr);
+  EXPECT_EQ(policies().find("zigzag"), nullptr);
   try {
-    (void)get_policy("zigzag");
+    (void)policies().get("zigzag");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
+    EXPECT_NE(what.find("placement policy"), std::string::npos);
     EXPECT_NE(what.find("rowmajor"), std::string::npos);
     EXPECT_NE(what.find("snake"), std::string::npos);
     EXPECT_NE(what.find("nearmc"), std::string::npos);
@@ -60,16 +61,17 @@ TEST(PolicyRegistry, RejectsDuplicatesAndNull) {
                                        roles.pes.front());
     }
   };
-  EXPECT_THROW(register_policy(nullptr), std::invalid_argument);
-  EXPECT_THROW(register_policy(std::make_unique<Fake>()),
+  EXPECT_THROW(policies().add(nullptr), std::invalid_argument);
+  EXPECT_THROW(policies().add(std::make_unique<Fake>()),
                std::invalid_argument);
+  EXPECT_NE(policies().get("rowmajor").description(), "dup");
 }
 
 TEST(Policies, AssignReturnsOnlyPeNodesAndWrapsModularly) {
   const noc::MeshShape shape(4, 4);
   const accel::NodeRoles roles = roles_4x4mc2();
   const std::set<std::int32_t> pe_set(roles.pes.begin(), roles.pes.end());
-  for (const auto* policy : registered_policies()) {
+  for (const auto* policy : policies().all()) {
     const auto n_pes = static_cast<std::int32_t>(roles.pes.size());
     const auto tiles = policy->assign(shape, roles, n_pes + 3, 0);
     ASSERT_EQ(tiles.size(), static_cast<std::size_t>(n_pes) + 3)
@@ -95,7 +97,7 @@ TEST(Policies, AssignReturnsOnlyPeNodesAndWrapsModularly) {
 
 TEST(Policies, RowMajorFollowsNodeIdOrder) {
   const accel::NodeRoles roles = roles_4x4mc2();
-  const auto tiles = get_policy("rowmajor")
+  const auto tiles = policies().get("rowmajor")
                          .assign(noc::MeshShape(4, 4), roles,
                                  static_cast<std::int32_t>(roles.pes.size()),
                                  0);
@@ -108,7 +110,7 @@ TEST(Policies, SnakeReversesOddRows) {
   // east->west again (15,14,13,12).
   const accel::NodeRoles roles = roles_4x4mc2();
   ASSERT_EQ(roles.mcs, (std::vector<std::int32_t>{8, 11}));
-  const auto tiles = get_policy("snake").assign(
+  const auto tiles = policies().get("snake").assign(
       noc::MeshShape(4, 4), roles,
       static_cast<std::int32_t>(roles.pes.size()), 0);
   EXPECT_EQ(tiles, (std::vector<std::int32_t>{0, 1, 2, 3, 7, 6, 5, 4, 9, 10,
@@ -118,7 +120,7 @@ TEST(Policies, SnakeReversesOddRows) {
 TEST(Policies, NearMcFrontLoadsPesNextToControllers) {
   const noc::MeshShape shape(4, 4);
   const accel::NodeRoles roles = roles_4x4mc2();
-  const auto tiles = get_policy("nearmc").assign(
+  const auto tiles = policies().get("nearmc").assign(
       shape, roles, static_cast<std::int32_t>(roles.pes.size()), 0);
   const auto nearest = nearest_mc_index(shape, roles);
   const auto dist_to_mc = [&](std::int32_t pe) {
@@ -132,12 +134,12 @@ TEST(Policies, NearMcFrontLoadsPesNextToControllers) {
 
 TEST(Policies, RejectBadTileCounts) {
   const accel::NodeRoles roles = roles_4x4mc2();
-  EXPECT_THROW((void)get_policy("rowmajor")
+  EXPECT_THROW((void)policies().get("rowmajor")
                    .assign(noc::MeshShape(4, 4), roles, 0, 0),
                std::invalid_argument);
   accel::NodeRoles no_pes;
   no_pes.mcs = roles.mcs;
-  EXPECT_THROW((void)get_policy("rowmajor")
+  EXPECT_THROW((void)policies().get("rowmajor")
                    .assign(noc::MeshShape(4, 4), no_pes, 1, 0),
                std::invalid_argument);
 }

@@ -47,7 +47,7 @@ TEST(Schedule, HandComputedAccountingOnASingleConv) {
   model.add(std::move(conv));
   const Chain1x2 m;
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, m.shape, m.roles,
-                                  get_policy("rowmajor"), 1);
+                                  policies().get("rowmajor"), 1);
   const TrafficConfig cfg = counting_config();
   const PlacedSchedule s = build_schedule(p, cfg);
 
@@ -94,7 +94,7 @@ TEST(Schedule, HandComputedAccountingOnATiledTwoConvModel) {
   const noc::MeshShape shape(4, 4);
   const accel::NodeRoles roles = accel::assign_roles(shape, 2);
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, shape, roles,
-                                  get_policy("rowmajor"), 3);
+                                  policies().get("rowmajor"), 3);
   const PlacedSchedule s = build_schedule(p, counting_config());
 
   // op0: 3 tiles x (unit-slice weights + full 16-value ifmap each):
@@ -118,7 +118,7 @@ TEST(Schedule, PacketsAreSortedAndEachSourceSerializesItsFlits) {
   const noc::MeshShape shape(4, 4);
   const accel::NodeRoles roles = accel::assign_roles(shape, 2);
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, shape, roles,
-                                  get_policy("rowmajor"), 3);
+                                  policies().get("rowmajor"), 3);
   TrafficConfig cfg = counting_config();
   cfg.pairs_per_packet = 4;  // force multi-packet transfers
   const PlacedSchedule s = build_schedule(p, cfg);
@@ -154,7 +154,7 @@ TEST(Schedule, CoLocatedProducerConsumerFlowsStayOnThePe) {
   model.emplace<Conv2d>(2, 2, 3, 1, 1);
   const Chain1x2 m;
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, m.shape, m.roles,
-                                  get_policy("rowmajor"), 1);
+                                  policies().get("rowmajor"), 1);
   const PlacedSchedule s = build_schedule(p, counting_config());
 
   // Both convs live on the single PE, so the inter-layer activations
@@ -174,7 +174,7 @@ TEST(Schedule, ToTraceRoundTripsThroughCsvWithPayloads) {
   const noc::MeshShape shape(4, 4);
   const accel::NodeRoles roles = accel::assign_roles(shape, 2);
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, shape, roles,
-                                  get_policy("rowmajor"), 3);
+                                  policies().get("rowmajor"), 3);
   TrafficConfig cfg = counting_config();
   cfg.pairs_per_packet = 8;
   const PlacedSchedule s = build_schedule(p, cfg);
@@ -218,7 +218,7 @@ TEST(Schedule, RejectsBadConfig) {
   model.emplace<Conv2d>(1, 2, 3, 1, 1);
   const Chain1x2 m;
   const Placement p = place_model(model, Shape{1, 1, 4, 4}, m.shape, m.roles,
-                                  get_policy("rowmajor"), 1);
+                                  policies().get("rowmajor"), 1);
 
   TrafficConfig no_source;  // draw_activation left empty
   EXPECT_THROW((void)build_schedule(p, no_source), std::invalid_argument);

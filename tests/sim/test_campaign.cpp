@@ -15,6 +15,7 @@
 #include "sim/campaign.h"
 #include "sim/campaign_executor.h"
 #include "sim/campaign_report.h"
+#include "sim/scenario_runner.h"
 
 namespace nocbt::sim {
 namespace {
@@ -491,6 +492,25 @@ TEST(Campaign, ProfilerCountersAreThreadInvariant) {
         << serial.rows[i].spec.name;
     EXPECT_TRUE(serial.rows[i] == parallel.rows[i])
         << serial.rows[i].spec.name;
+  }
+}
+
+TEST(SharedSchedule, DerivedRejectsASecondFormat) {
+  // The derived block is built once, for the first caller's format; the
+  // schedule cache key pins the format, so another one is a caller bug.
+  SharedSchedule sched;
+  sched.requests = {InjectionRequest{0, 0, 1, {0x0F, 0xF0}, {0x01, 0x02}},
+                    InjectionRequest{4, 1, 0, {0xFF, 0x00}, {0x03, 0x04}}};
+  const SharedSchedule::Derived& d = sched.derived(DataFormat::kFixed8);
+  EXPECT_TRUE(d.uniform);
+  EXPECT_EQ(&sched.derived(DataFormat::kFixed8), &d);
+  try {
+    (void)sched.derived(DataFormat::kFloat32);
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fixed-8"), std::string::npos) << what;
+    EXPECT_NE(what.find("float-32"), std::string::npos) << what;
   }
 }
 

@@ -1,5 +1,5 @@
 // Table-driven parse/to_string round-trip coverage for every enum pair in
-// noc/noc_config.h and sim/scenario.h. New enum values added without
+// noc/noc_config.h, sim/scenario.h and ordering/ordering.h. New enum values added without
 // updating the parser (or vice versa) fail here instead of surfacing as a
 // confusing CLI error; the suites also pin that every parser's error
 // message enumerates the valid spellings, so a typo at the command line
@@ -12,6 +12,7 @@
 #include <string>
 
 #include "noc/noc_config.h"
+#include "ordering/ordering.h"
 #include "sim/scenario.h"
 
 namespace nocbt {
@@ -68,6 +69,23 @@ TEST(EnumRoundTrip, ValueDist) {
         << sim::to_string(dist);
   expect_mentions_all(error_message(sim::parse_value_dist),
                       {"uniform", "normal", "laplace"});
+}
+
+TEST(EnumRoundTrip, OrderingMode) {
+  // Reports print to_string(mode) ("O1-affiliated") and sweep keys use
+  // short_mode_name(mode) ("O1"); the parser must take both back.
+  for (const ordering::OrderingMode mode : ordering::all_ordering_modes()) {
+    EXPECT_EQ(ordering::parse_ordering_mode(ordering::to_string(mode)), mode)
+        << ordering::to_string(mode);
+    EXPECT_EQ(ordering::parse_ordering_mode(ordering::short_mode_name(mode)),
+              mode)
+        << ordering::short_mode_name(mode);
+  }
+  expect_mentions_all(
+      error_message(ordering::parse_ordering_mode),
+      {"O0", "O0-baseline", "baseline", "O1", "O1-affiliated", "affiliated",
+       "O2", "O2-separated", "separated", "chain", "greedy-chain", "hdchain",
+       "hd-chain", "bucket", "bucket-sort", "hybrid", "twoflit", "two-flit"});
 }
 
 TEST(EnumRoundTrip, EngineChoice) {

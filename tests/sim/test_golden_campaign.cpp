@@ -108,7 +108,7 @@ TEST(GoldenCampaign, EveryKernelTierIsByteIdenticalToGolden) {
   const std::string golden =
       read_file(std::string(NOCBT_GOLDEN_DIR) + "/campaign_golden.json");
   for (const ordering::BtKernelBackend* backend :
-       ordering::registered_kernel_backends()) {
+       ordering::kernel_backends().all()) {
     if (!backend->available()) continue;
     const ordering::ScopedKernelTier force(backend->name());
     const CampaignResult result = run_campaign(camp, RunnerConfig{});
