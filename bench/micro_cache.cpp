@@ -11,8 +11,10 @@
 // google-benchmark dependency, so it is always built. The --json document
 // is the machine-readable gate CI asserts on: the warm pass must simulate
 // nothing (100% hit rate), replay rows byte-identical to the cold pass,
-// and be at least 5x faster. Wall-clock fields are informative for humans;
-// the hit counts and the identity bit are deterministic.
+// and be at least 5x faster; the cold pass must run one cycle-engine
+// simulation per grid point (4) and the warm pass none. Wall-clock fields
+// are informative for humans; the hit counts, the cycle-run counts and the
+// identity bit are deterministic.
 
 #include <chrono>
 #include <cstdio>
@@ -62,6 +64,8 @@ struct BenchRun {
   double warm_ms = 0.0;
   std::size_t cold_simulated = 0;
   std::size_t warm_simulated = 0;
+  std::size_t cold_cycle_runs = 0;
+  std::size_t warm_cycle_runs = 0;
   std::size_t warm_hits = 0;
   std::size_t warm_misses = 0;
   bool rows_identical = false;
@@ -92,6 +96,8 @@ BenchRun run_cold_then_warm(const std::string& cache_dir) {
   run.rows = cold.rows.size();
   run.cold_simulated = cold.stats.simulated;
   run.warm_simulated = warm.stats.simulated;
+  run.cold_cycle_runs = cold.stats.cycle_runs;
+  run.warm_cycle_runs = warm.stats.cycle_runs;
   run.warm_hits = warm.stats.cache_hits;
   run.warm_misses = warm.rows.size() - warm.stats.cache_hits;
   run.rows_identical =
@@ -115,6 +121,10 @@ int run_json(const std::string& path, const std::string& cache_dir) {
           static_cast<std::uint64_t>(run.cold_simulated))
       .key("warm_simulated").value(
           static_cast<std::uint64_t>(run.warm_simulated))
+      .key("cold_cycle_runs").value(
+          static_cast<std::uint64_t>(run.cold_cycle_runs))
+      .key("warm_cycle_runs").value(
+          static_cast<std::uint64_t>(run.warm_cycle_runs))
       .key("warm_hits").value(static_cast<std::uint64_t>(run.warm_hits))
       .key("warm_misses").value(static_cast<std::uint64_t>(run.warm_misses))
       .key("rows_identical").value(run.rows_identical)
@@ -148,11 +158,13 @@ int main(int argc, char** argv) {
 
     const BenchRun run = run_cold_then_warm(cache_dir);
     std::printf("micro_cache: %zu rows\n", run.rows);
-    std::printf("  cold: %8.2f ms  (%zu simulated)\n", run.cold_ms,
-                run.cold_simulated);
-    std::printf("  warm: %8.2f ms  (%zu hits, %zu misses, %zu simulated)\n",
-                run.warm_ms, run.warm_hits, run.warm_misses,
-                run.warm_simulated);
+    std::printf("  cold: %8.2f ms  (%zu simulated, %zu cycle runs)\n",
+                run.cold_ms, run.cold_simulated, run.cold_cycle_runs);
+    std::printf(
+        "  warm: %8.2f ms  (%zu hits, %zu misses, %zu simulated, %zu cycle "
+        "runs)\n",
+        run.warm_ms, run.warm_hits, run.warm_misses, run.warm_simulated,
+        run.warm_cycle_runs);
     std::printf("  speedup: %.1fx  rows_identical: %s\n",
                 run.warm_ms > 0.0 ? run.cold_ms / run.warm_ms : 0.0,
                 run.rows_identical ? "yes" : "NO");

@@ -173,10 +173,11 @@ int main(int argc, char** argv) {
                runner.exec.shard.count > 1) {
       std::printf(
           "shard %s: %zu of %zu scenarios assigned — %zu simulated, %zu "
-          "cache hits, %zu journal hits\n",
+          "cache hits, %zu journal hits, %zu cycle runs\n",
           to_string(runner.exec.shard).c_str(), result.stats.assigned,
           result.stats.grid_total, result.stats.simulated,
-          result.stats.cache_hits, result.stats.journal_hits);
+          result.stats.cache_hits, result.stats.journal_hits,
+          result.stats.cycle_runs);
     }
     std::fputs(sim::render_table(result).c_str(), stdout);
 

@@ -116,9 +116,25 @@ std::uint64_t AnalyticalEngine::inject(std::uint64_t cycle, std::int32_t src,
   return idx;
 }
 
+WireOrder AnalyticalEngine::wire_order() const {
+  if (!ran_ || !congestion_free_)
+    throw std::logic_error(
+        "AnalyticalEngine::wire_order: run() did not prove the schedule "
+        "congestion-free");
+  WireOrderRecorder rec(crossings_.size());
+  for (const PacketRec& p : packets_) rec.add_packet(p.flits);
+  for (std::size_t link = 0; link < crossings_.size(); ++link)
+    for (const Crossing& c : crossings_[link])
+      for (std::uint32_t f = 0; f < packets_[c.packet].flits; ++f)
+        rec.push(static_cast<std::int32_t>(link), c.packet, f);
+  return rec.finish(bt_, cfg_);
+}
+
 bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
-                                     std::string& detail) const {
-  auto crossings = crossings_[link];  // copy: evaluate_link is const + reentrant
+                                     std::string& detail) {
+  // Each link is evaluated by exactly one thread, which owns its crossing
+  // list; it stays sorted for wire_order().
+  auto& crossings = crossings_[link];
   std::sort(crossings.begin(), crossings.end(),
             [](const Crossing& a, const Crossing& b) {
               return a.start != b.start ? a.start < b.start
@@ -219,6 +235,7 @@ bool AnalyticalEngine::run(unsigned threads) {
   stats_.cycles = cycle_;
   // The whole run is one exact clock jump: nothing was stepped.
   stats_.sim.idle_cycles_skipped = cycle_;
+  congestion_free_ = congestion_free;
   return congestion_free;
 }
 

@@ -50,6 +50,7 @@
 #include "noc/noc_config.h"
 #include "noc/noc_stats.h"
 #include "noc/routing.h"
+#include "noc/wire_order.h"
 
 namespace nocbt::noc {
 
@@ -72,6 +73,13 @@ class AnalyticalEngine {
   /// retained. Must not be called after run(). Returns the packet id.
   std::uint64_t inject(std::uint64_t cycle, std::int32_t src, std::int32_t dst,
                        const std::vector<BitVec>& payloads);
+
+  /// Every link's wire order (noc/wire_order.h), built from the crossings
+  /// run() sorted: each link's crossings in start order, every packet's
+  /// flits back to back. Throws std::logic_error unless run() proved the
+  /// schedule congestion-free (a contended schedule's serialized order is
+  /// not the order a cycle engine would realize).
+  [[nodiscard]] WireOrder wire_order() const;
 
   /// Evaluate the schedule: per-link flits/BT, NocStats, drain cycle.
   /// Returns true when the schedule was proven congestion-free (results
@@ -110,10 +118,10 @@ class AnalyticalEngine {
     std::uint32_t packet = 0;  ///< index into packets_
   };
 
-  /// Replay one link's crossings in wire order. Returns false (and fills
-  /// `detail` once) when two crossings overlap.
+  /// Sort one link's crossings into wire order and replay them. Returns
+  /// false (and fills `detail` once) when two crossings overlap.
   bool evaluate_link(std::size_t link, LinkAccumulator& acc,
-                     std::string& detail) const;
+                     std::string& detail);
 
   NocConfig cfg_;
   MeshShape shape_;
@@ -121,6 +129,7 @@ class AnalyticalEngine {
   NocStats stats_;
   std::uint64_t cycle_ = 0;
   bool ran_ = false;
+  bool congestion_free_ = false;
   std::string contention_detail_;
 
   std::vector<PacketRec> packets_;

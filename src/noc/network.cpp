@@ -29,9 +29,9 @@ Channel<Flit>* Network::new_flit_channel(const LinkInfo& info,
   flit_channels_.emplace_back(cfg_.channel_latency);
   Channel<Flit>* ch = &flit_channels_.back();
   const std::int32_t link_id = bt_.register_link(info);
-  BtRecorder* recorder = &bt_;
-  ch->set_observer([recorder, link_id](const Flit& flit) {
-    recorder->observe(link_id, flit.payload);
+  ch->set_observer([this, link_id](const Flit& flit) {
+    bt_.observe(link_id, flit.payload);
+    if (wire_) wire_->push(link_id, flit.packet_id, flit.seq);
   });
   if (active_engine_) ch->set_waker(this, consumer);
   return ch;
@@ -120,6 +120,7 @@ std::uint64_t Network::inject(std::int32_t src, std::int32_t dst,
           std::to_string(payloads[i].width()) + " bits wide, link carries " +
           std::to_string(cfg_.flit_payload_bits));
   }
+  if (wire_) wire_->add_packet(payloads.size());
   Packet packet;
   packet.id = next_packet_id_++;
   packet.src = src;
@@ -132,6 +133,22 @@ std::uint64_t Network::inject(std::int32_t src, std::int32_t dst,
   nis_[src].enqueue(std::move(packet));
   if (active_engine_) activate_ni(src);
   return id;
+}
+
+void Network::record_wire_order() {
+  if (next_packet_id_ > 0)
+    throw std::logic_error(
+        "Network::record_wire_order: packets were already injected");
+  wire_ = std::make_unique<WireOrderRecorder>(bt_.link_count());
+}
+
+WireOrder Network::take_wire_order() {
+  if (!wire_)
+    throw std::logic_error(
+        "Network::take_wire_order: record_wire_order() was not called");
+  WireOrder order = wire_->finish(bt_, cfg_);
+  wire_.reset();
+  return order;
 }
 
 void Network::wake(std::int32_t comp, std::uint64_t cycle) {

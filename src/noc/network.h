@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "noc/bt_recorder.h"
@@ -47,6 +48,7 @@
 #include "noc/noc_stats.h"
 #include "noc/router.h"
 #include "noc/routing.h"
+#include "noc/wire_order.h"
 
 namespace nocbt::noc {
 
@@ -66,6 +68,15 @@ class Network : private ChannelWaker {
   /// the packet enters `src`'s source queue this cycle. Returns the packet id.
   std::uint64_t inject(std::int32_t src, std::int32_t dst,
                        std::vector<BitVec> payloads);
+
+  /// Record every link's wire order (noc/wire_order.h) from here on. Off
+  /// by default: it stores a byte or two per flit-hop. Must precede the
+  /// first inject() (throws std::logic_error otherwise).
+  void record_wire_order();
+
+  /// The wire order recorded so far, moved out; recording stops. Throws
+  /// std::logic_error unless record_wire_order() was called.
+  [[nodiscard]] WireOrder take_wire_order();
 
   /// Advance the network by one cycle.
   void step();
@@ -123,6 +134,7 @@ class Network : private ChannelWaker {
   NocConfig cfg_;
   MeshShape shape_;
   BtRecorder bt_;
+  std::unique_ptr<WireOrderRecorder> wire_;  ///< set by record_wire_order()
   NocStats stats_;
   std::uint64_t cycle_ = 0;
   std::uint64_t next_packet_id_ = 0;

@@ -120,7 +120,8 @@ bool operator==(const ScenarioResult& a, const ScenarioResult& b) {
          a.drained == b.drained && a.sim == b.sim && a.links == b.links &&
          a.error == b.error;
   // wall_ms_* are deliberately not compared: wall-clock is the one
-  // nondeterministic measurement a scenario carries.
+  // nondeterministic measurement a scenario carries. engine_reason is
+  // observability that cache and journal records do not persist.
 }
 
 }  // namespace nocbt::sim

@@ -113,16 +113,26 @@ struct ScenarioResult {
   double avg_latency = 0.0;
   double avg_hops = 0.0;
   bool drained = false;           ///< false = hit the max_cycles stall guard
-  /// Step-loop profile of the ordered run (deterministic engine counters:
-  /// cycles stepped vs. idle-skipped, component steps run vs. skipped).
+  /// Step-loop profile of the run that timed the ordered variant — for a
+  /// synthetic row, the grid point's one timing run (deterministic engine
+  /// counters: cycles stepped vs. idle-skipped, component steps run vs.
+  /// skipped).
   noc::SimProfile sim;
-  /// Host wall-clock of each variant run, in milliseconds. NOT
-  /// deterministic — excluded from operator==, from the golden-compared
-  /// CSV/JSON reports, and from the persisted cache/journal records
-  /// (cached rows replay with 0 here); surfaced via write_profile_csv
-  /// only.
+  /// Host wall-clock, in milliseconds, of the grid point's timing run
+  /// (baseline; 0 on a row that reused a timing another row ran) and of
+  /// the ordered mode's wire-order replay (ordered; an O0 row repeats its
+  /// baseline). NOT deterministic — excluded from operator==, from the
+  /// golden-compared CSV/JSON reports, and from the persisted
+  /// cache/journal records (cached rows replay with 0 here); surfaced via
+  /// write_profile_csv only.
   double wall_ms_baseline = 0.0;
   double wall_ms_ordered = 0.0;
+  /// Why engine=auto fell back from the analytical backend to a cycle
+  /// engine: the first clashing link and cycle, or the unsupported-config
+  /// reason; empty when it did not fall back. Observability only —
+  /// excluded from operator==, the CSV/JSON reports and the persisted
+  /// records exactly like wall_ms_*; surfaced via write_profile_csv.
+  std::string engine_reason;
   /// Per-link measurements of the ordered run (every monitored link, in
   /// link-id order) — the rows of the heatmap CSV.
   std::vector<hw::LinkEnergyRow> links;
@@ -137,6 +147,11 @@ struct ExecutionStats {
   std::size_t grid_total = 0;    ///< scenarios in the full expansion
   std::size_t assigned = 0;      ///< scenarios in this process's shard
   std::size_t simulated = 0;     ///< rows actually run by the engines
+  /// Network (cycle-engine) simulations behind the simulated rows: one
+  /// per synthetic grid point that fell back to or forced a cycle engine
+  /// (per shard: each process times the points its rows carry), two per
+  /// model row (one for an O0 model row).
+  std::size_t cycle_runs = 0;
   std::size_t cache_hits = 0;    ///< rows served by the scenario cache
   std::size_t journal_hits = 0;  ///< rows skipped via the resume journal
   /// Non-fatal diagnostics (corrupt cache/journal records, each naming the

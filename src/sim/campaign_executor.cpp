@@ -110,8 +110,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.rows.resize(assigned.size());
 
   // One schedule per traffic stream: the mode rows of a grid point share
-  // their materialized generator output (expand() gives them one seed).
-  ScheduleCache schedules(spec.modes.size());
+  // their materialized generator output (expand() gives them one seed)
+  // and its one NoC timing run. An entry is dropped after the last of
+  // this shard's rows that carries it, whether simulated or served.
+  std::vector<const ScenarioSpec*> rows;
+  rows.reserve(assigned.size());
+  for (const std::size_t i : assigned) rows.push_back(&scenarios[i]);
+  ScheduleCache schedules(std::move(rows));
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;       // guarded by report_mutex
   std::mutex report_mutex;    // serializes on_result + done
@@ -139,12 +144,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         }
       }
       const bool simulated = !row.has_value();
+      std::size_t cycle_runs = 0;
       if (simulated)
-        row = run_scenario_shared(scenario, spec.hooks, &schedules);
+        row = run_scenario_shared(scenario, spec.hooks, &schedules,
+                                  &cycle_runs);
+      else
+        schedules.skip(scenario);
 
       {
         const std::lock_guard<std::mutex> lock(persist_mutex);
         if (simulated) ++result.stats.simulated;
+        result.stats.cycle_runs += cycle_runs;
         if (from_cache) ++result.stats.cache_hits;
         if (from_journal) ++result.stats.journal_hits;
         if (key && key->cacheable) {

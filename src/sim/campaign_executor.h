@@ -8,8 +8,9 @@
 //
 // Determinism contract: for a fixed spec, the rows a shard contributes are
 // byte-identical whether they were simulated, served by the cache, or
-// replayed from a journal (wall_ms_* excepted — wall-clock is measurement
-// overhead, not a result, and persisted rows replay it as 0). Sharding
+// replayed from a journal (wall_ms_* and engine_reason excepted —
+// wall-clock is measurement overhead, not a result, and persisted rows
+// replay it as 0 and the fallback reason as empty). Sharding
 // partitions the expansion by scenario index modulo the shard count, so
 // the union of N shards is exactly the serial row set and merge_campaign
 // can reassemble reports that cmp-match a serial run.

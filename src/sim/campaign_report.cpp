@@ -70,7 +70,8 @@ std::size_t write_profile_csv(const std::string& path,
   CsvWriter csv(path,
                 {"scenario", "engine", "wall_ms_baseline", "wall_ms_ordered",
                  "cycles", "cycles_stepped", "idle_cycles_skipped",
-                 "components_stepped", "components_skipped", "skip_ratio"});
+                 "components_stepped", "components_skipped", "skip_ratio",
+                 "engine_reason"});
   for (const ScenarioResult& row : result.rows) {
     // row.sim.engine is the backend that actually ran the ordered variant
     // (auto-selection may pick analytical over the spec's cycle engine).
@@ -82,7 +83,7 @@ std::size_t write_profile_csv(const std::string& path,
                  std::to_string(row.sim.idle_cycles_skipped),
                  std::to_string(row.sim.components_stepped),
                  std::to_string(row.sim.components_skipped),
-                 format_double(row.sim.skip_ratio(), 6)});
+                 format_double(row.sim.skip_ratio(), 6), row.engine_reason});
   }
   return csv.rows_written();
 }

@@ -21,7 +21,8 @@ std::size_t write_csv_report(const std::string& path,
                              const CampaignResult& result);
 
 /// Step-loop profile CSV: one row per scenario with the engine, wall-clock
-/// per variant, deterministic step counters and the component skip ratio.
+/// of the timing run and the replay, deterministic step counters, the
+/// component skip ratio and, last, why engine=auto fell back (if it did).
 /// Kept separate from write_csv_report/json_report so the wall-clock
 /// columns never enter the byte-compared golden fixtures (cache- or
 /// journal-replayed rows report wall_ms 0 here). Returns rows written.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -12,7 +13,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/config.h"
 #include "sim/campaign.h"
+#include "sim/campaign_config.h"
 #include "sim/campaign_executor.h"
 #include "sim/campaign_report.h"
 #include "sim/scenario_runner.h"
@@ -460,7 +463,7 @@ TEST(Campaign, ProfileCsvCarriesStepLoopCounters) {
   EXPECT_EQ(header,
             "scenario,engine,wall_ms_baseline,wall_ms_ordered,cycles,"
             "cycles_stepped,idle_cycles_skipped,components_stepped,"
-            "components_skipped,skip_ratio");
+            "components_skipped,skip_ratio,engine_reason");
   std::size_t data_lines = 0;
   std::string line;
   while (std::getline(in, line))
@@ -512,6 +515,148 @@ TEST(SharedSchedule, DerivedRejectsASecondFormat) {
     EXPECT_NE(what.find("fixed-8"), std::string::npos) << what;
     EXPECT_NE(what.find("float-32"), std::string::npos) << what;
   }
+}
+
+TEST(SharedSchedule, TimingRunsOnceAndRejectsAnotherSpec) {
+  SharedSchedule sched;
+  sched.requests = {InjectionRequest{0, 0, 5, {0x0F, 0xF0}, {0x01, 0x02}},
+                    InjectionRequest{9, 3, 12, {0xFF, 0x00}, {0x03, 0x04}}};
+  ScenarioSpec spec;
+  spec.name = "timing";
+  spec.format = DataFormat::kFixed8;
+  bool built = false;
+  const SharedSchedule::Timing& timing = sched.timing(spec, &built);
+  EXPECT_TRUE(built);
+  ASSERT_FALSE(timing.error);
+  EXPECT_TRUE(timing.baseline.drained);
+  EXPECT_EQ(timing.order.packets(), 2u);
+  EXPECT_EQ(timing.order.flits(), 2u);
+  EXPECT_TRUE(timing.engine_reason.empty()) << timing.engine_reason;
+  // Two far-apart packets: the analytical engine times them.
+  EXPECT_EQ(timing.baseline.sim.engine, noc::SimEngine::kAnalytical);
+
+  ScenarioSpec other_mode = spec;
+  other_mode.mode = ordering::OrderingMode::kHybrid;
+  EXPECT_EQ(&sched.timing(other_mode, &built), &timing);
+  EXPECT_FALSE(built);
+  ScenarioSpec other_vcs = spec;
+  other_vcs.num_vcs = 2;
+  EXPECT_THROW((void)sched.timing(other_vcs), std::logic_error);
+}
+
+ScenarioSpec uniform_4x4(double rate) {
+  ScenarioSpec spec;
+  spec.generator = GeneratorKind::kUniform;
+  spec.packets = 64;
+  spec.injection_rate = rate;
+  return spec;
+}
+
+TEST(ScheduleCache, KeysDoublesExactly) {
+  // Six-decimal formatting printed both rates as 0.000000, so one cache
+  // handed the second spec the first spec's four-times-slower schedule.
+  ScheduleCache cache(2);
+  const SharedSchedulePtr slow = cache.get(uniform_4x4(1e-7));
+  const SharedSchedulePtr fast = cache.get(uniform_4x4(4e-7));
+  EXPECT_NE(slow.get(), fast.get());
+  EXPECT_GT(slow->requests.back().cycle, 2 * fast->requests.back().cycle);
+}
+
+TEST(ScheduleCache, KeysEveryKnobTheTimingRunReads) {
+  const ScenarioSpec base = uniform_4x4(0.5);
+  const std::vector<void (*)(ScenarioSpec&)> knobs{
+      [](ScenarioSpec& s) { s.num_vcs = 2; },
+      [](ScenarioSpec& s) { s.vc_buffer_depth = 8; },
+      [](ScenarioSpec& s) { s.engine = noc::SimEngine::kFullScan; },
+      [](ScenarioSpec& s) { s.engine_auto = false; },
+      [](ScenarioSpec& s) { s.max_cycles = 99; }};
+  for (std::size_t k = 0; k < knobs.size(); ++k) {
+    ScenarioSpec changed = base;
+    knobs[k](changed);
+    ScheduleCache cache(2);
+    EXPECT_NE(cache.get(base).get(), cache.get(changed).get()) << "knob " << k;
+  }
+  // Mode, name and the energy knobs leave schedule and timing alone.
+  ScenarioSpec shared = base;
+  shared.name = "other";
+  shared.mode = ordering::OrderingMode::kChain;
+  shared.energy_per_transition_pj = 0.532;
+  ScheduleCache cache(2);
+  EXPECT_EQ(cache.get(base).get(), cache.get(shared).get());
+}
+
+TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
+  // A shard's slice: two of a grid point's three mode rows, plus a row of
+  // another point. One row looks the schedule up; the other was served
+  // from a scenario cache and only skips.
+  ScenarioSpec o0 = uniform_4x4(0.5);
+  ScenarioSpec o2 = o0;
+  o2.mode = ordering::OrderingMode::kSeparated;
+  const ScenarioSpec other = uniform_4x4(0.25);
+  ScheduleCache cache(std::vector<const ScenarioSpec*>{&o0, &o2, &other});
+  const SharedSchedulePtr first = cache.get(o0);
+  const SharedSchedulePtr kept = cache.get(other);
+  cache.skip(o2);
+  // Both expected rows of o0's key are through, so the entry is gone and
+  // another lookup materializes afresh; `other` still expects no more.
+  EXPECT_NE(cache.get(o0).get(), first.get());
+  EXPECT_NE(cache.get(other).get(), kept.get());
+
+  // A row served before any lookup leaves the schedule to the row that
+  // simulates.
+  ScheduleCache served_first(std::vector<const ScenarioSpec*>{&o0, &o2});
+  served_first.skip(o2);
+  const SharedSchedulePtr built = served_first.get(o0);
+  EXPECT_FALSE(built->requests.empty());
+  EXPECT_NE(served_first.get(o0).get(), built.get());
+}
+
+TEST(Campaign, CountsOneCycleRunPerGridPoint) {
+  // The micro_cache sweep's shape: two generators x two formats, every
+  // mode, cycle engine pinned — 4 grid points, 4 timing runs however many
+  // workers race for them, and none on a warm rerun.
+  CampaignSpec camp = small_campaign();
+  camp.modes = ordering::all_ordering_modes();
+  camp.base.engine_auto = false;
+  const std::string dir = testing::TempDir() + "nocbt_cycle_runs_cache";
+  for (const std::size_t threads : {1u, 4u}) {
+    std::filesystem::remove_all(dir);
+    RunnerConfig runner;
+    runner.threads = threads;
+    runner.exec.cache_dir = dir;
+    const CampaignResult cold = run_campaign(camp, runner);
+    EXPECT_EQ(cold.stats.simulated, cold.rows.size());
+    EXPECT_EQ(cold.stats.cycle_runs, 4u) << threads << " threads";
+    std::size_t charged = 0;  // the timing wall clock lands on one row each
+    for (const ScenarioResult& row : cold.rows)
+      if (row.wall_ms_baseline > 0.0) ++charged;
+    EXPECT_EQ(charged, 4u);
+    const CampaignResult warm = run_campaign(camp, runner);
+    EXPECT_EQ(warm.stats.simulated, 0u);
+    EXPECT_EQ(warm.stats.cycle_runs, 0u);
+  }
+  std::filesystem::remove_all(dir);
+  // Shards are separate processes: each times every point it carries.
+  for (std::uint32_t index = 0; index < 2; ++index) {
+    RunnerConfig runner;
+    runner.exec.shard = ShardSpec{index, 2};
+    EXPECT_EQ(run_campaign(camp, runner).stats.cycle_runs, 4u)
+        << "shard " << index;
+  }
+}
+
+TEST(Campaign, ModelRowsStillRunTwice) {
+  Options opts;
+  CampaignSpec camp = campaign_from_options(opts);
+  camp.generators = {GeneratorKind::kModel};
+  camp.formats = {DataFormat::kFixed8};
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kSeparated};
+  camp.meshes = {MeshSpec{4, 4, 2}};
+  const CampaignResult result = run_campaign(camp);
+  for (const ScenarioResult& row : result.rows)
+    ASSERT_TRUE(row.error.empty()) << row.error;
+  EXPECT_EQ(result.stats.cycle_runs, 3u);  // O0 once, O2 twice
 }
 
 }  // namespace

@@ -260,6 +260,37 @@ TEST(EngineAutoSelect, FallsBackToCycleEngineUnderContention) {
   EXPECT_EQ(fs.sim.engine, noc::SimEngine::kFullScan);
 }
 
+TEST(EngineAutoSelect, FallbackRecordsWhyInEngineReason) {
+  ScenarioSpec spec = base_spec(GeneratorKind::kUniform, 4, 4);
+  spec.injection_rate = 2.0;
+  spec.packets = 64;
+  const ScenarioResult contended = run_scenario(spec, ModelHooks{});
+  ASSERT_TRUE(contended.error.empty()) << contended.error;
+  EXPECT_EQ(contended.sim.engine, noc::SimEngine::kActiveSet);
+  // The analytical backend's first clash: which link, at which cycle.
+  EXPECT_EQ(contended.engine_reason.rfind("link ", 0), 0u)
+      << contended.engine_reason;
+  EXPECT_NE(contended.engine_reason.find("still busy at cycle"),
+            std::string::npos)
+      << contended.engine_reason;
+  // Result-invisible, like wall-clock: the row still equals a forced run.
+  EXPECT_TRUE(contended == run_forced(spec, noc::SimEngine::kActiveSet));
+
+  ScenarioSpec shallow = spec;
+  shallow.vc_buffer_depth = 1;  // below the credit round trip
+  EXPECT_NE(run_scenario(shallow, ModelHooks{})
+                .engine_reason.find("vc_buffer_depth"),
+            std::string::npos);
+
+  const ScenarioResult sparse = run_scenario(
+      sparse_spec(GeneratorKind::kUniform, 4, 4, DataFormat::kFixed8, 32),
+      ModelHooks{});
+  ASSERT_EQ(sparse.sim.engine, noc::SimEngine::kAnalytical) << sparse.error;
+  EXPECT_TRUE(sparse.engine_reason.empty()) << sparse.engine_reason;
+  // Forcing a cycle engine attempts nothing, so nothing fell back.
+  EXPECT_TRUE(run_forced(spec, noc::SimEngine::kActiveSet).engine_reason.empty());
+}
+
 TEST(EngineAutoSelect, ForcedAnalyticalFailsLoudlyUnderContention) {
   ScenarioSpec spec = base_spec(GeneratorKind::kUniform, 4, 4);
   spec.injection_rate = 2.0;
