@@ -5,6 +5,7 @@
 //   $ ./darknet_on_noc rows=8 cols=8 mcs=8 format=float32
 
 #include <cstdio>
+#include <exception>
 
 #include "accel/platform.h"
 #include "common/config.h"
@@ -16,7 +17,7 @@
 using namespace nocbt;
 using ordering::OrderingMode;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const auto rows = static_cast<std::int32_t>(opts.get_int("rows", 4));
   const auto cols = static_cast<std::int32_t>(opts.get_int("cols", 4));
@@ -59,4 +60,7 @@ int main(int argc, char** argv) {
   std::puts("\nSeparated-ordering (O2) should show the deepest reduction —");
   std::puts("it reorders the input half of every flit as well as the weights.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "darknet_on_noc: %s\n", e.what());
+  return 2;
 }

@@ -7,6 +7,7 @@
 //   $ ./lenet_on_noc rows=8 cols=8 mcs=4 mode=O1 format=float32
 
 #include <cstdio>
+#include <exception>
 
 #include "accel/platform.h"
 #include "common/config.h"
@@ -16,7 +17,7 @@
 
 using namespace nocbt;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const auto rows = static_cast<std::int32_t>(opts.get_int("rows", 4));
   const auto cols = static_cast<std::int32_t>(opts.get_int("cols", 4));
@@ -79,4 +80,7 @@ int main(int argc, char** argv) {
   else
     std::printf("  max |error| = %.4f (8-bit quantization)\n", max_err);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "lenet_on_noc: %s\n", e.what());
+  return 2;
 }

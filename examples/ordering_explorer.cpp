@@ -7,6 +7,7 @@
 //   $ ./ordering_explorer dist=laplace format=fixed8 window=128
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ std::vector<float> make_values(const std::string& dist, std::size_t n,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const auto n = static_cast<std::size_t>(opts.get_int("values", 65536));
   const auto window = static_cast<std::size_t>(opts.get_int("window", 256));
@@ -89,4 +90,7 @@ int main(int argc, char** argv) {
   std::puts("\nZero-concentrated (laplace/sparse) and bimodal data order best;");
   std::puts("uniform random bits are nearly incompressible by any reordering.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "ordering_explorer: %s\n", e.what());
+  return 2;
 }

@@ -8,6 +8,7 @@
 //   $ ./quickstart values=4096 window=256 format=fixed8
 
 #include <cstdio>
+#include <exception>
 #include <vector>
 
 #include "analysis/bt_count.h"
@@ -18,7 +19,7 @@
 
 using namespace nocbt;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const auto n = static_cast<std::size_t>(opts.get_int("values", 4096));
   const auto window = static_cast<std::size_t>(opts.get_int("window", 256));
@@ -57,4 +58,7 @@ int main(int argc, char** argv) {
   std::puts("\nFewer bit transitions means lower NoC link power - and because");
   std::puts("convolution is order-invariant, no decoder is needed at the PE.");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 2;
 }

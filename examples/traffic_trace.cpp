@@ -6,6 +6,7 @@
 //   $ ./traffic_trace out=/tmp/trace.csv rows=4 cols=4 mcs=2
 
 #include <cstdio>
+#include <exception>
 
 #include "accel/platform.h"
 #include "common/config.h"
@@ -19,7 +20,7 @@
 
 using namespace nocbt;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
   const std::string out_path =
       opts.get_string("out", "/tmp/nocbt_traffic_trace.csv");
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
               static_cast<double>(result.bt_total) /
                   static_cast<double>(result.noc_stats.flits_delivered));
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "traffic_trace: %s\n", e.what());
+  return 2;
 }

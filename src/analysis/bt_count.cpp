@@ -6,10 +6,12 @@ namespace nocbt::analysis {
 
 std::vector<BitVec> flitize(std::span<const std::uint32_t> patterns,
                             DataFormat format, unsigned values_per_flit) {
+  if (values_per_flit == 0)
+    throw std::invalid_argument("flitize: values_per_flit == 0");
   const unsigned bits = value_bits(format);
   const unsigned flit_width = bits * values_per_flit;
   std::vector<BitVec> flits;
-  if (patterns.empty() || values_per_flit == 0) return flits;
+  if (patterns.empty()) return flits;
   flits.reserve((patterns.size() + values_per_flit - 1) / values_per_flit);
 
   for (std::size_t start = 0; start < patterns.size();

@@ -13,7 +13,8 @@ namespace nocbt::analysis {
 
 /// Pack a pattern stream into flits of `values_per_flit` slots of
 /// `value_bits(format)` bits each (slot v at bit offset v * value_bits).
-/// The last flit is zero-padded.
+/// The last flit is zero-padded. Throws std::invalid_argument when
+/// values_per_flit is 0.
 [[nodiscard]] std::vector<BitVec> flitize(std::span<const std::uint32_t> patterns,
                                           DataFormat format,
                                           unsigned values_per_flit);

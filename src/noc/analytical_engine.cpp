@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 namespace nocbt::noc {
 
@@ -132,8 +131,6 @@ WireOrder AnalyticalEngine::wire_order() const {
 
 bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
                                      std::string& detail) {
-  // Each link is evaluated by exactly one thread, which owns its crossing
-  // list; it stays sorted for wire_order().
   auto& crossings = crossings_[link];
   std::sort(crossings.begin(), crossings.end(),
             [](const Crossing& a, const Crossing& b) {
@@ -158,44 +155,22 @@ bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
   return free;
 }
 
-bool AnalyticalEngine::run(unsigned threads) {
+bool AnalyticalEngine::run() {
   if (ran_) throw std::logic_error("AnalyticalEngine::run: already ran");
   ran_ = true;
   contention_detail_ = unsupported_reason(cfg_);
 
-  // Per-link replay, partitioned across threads; each link is owned by
-  // exactly one private accumulator, absorbed serially in link-id order so
-  // totals are independent of the thread count.
-  const std::size_t links = bt_.link_count();
-  std::vector<LinkAccumulator> accs(links,
-                                    LinkAccumulator(cfg_.flit_payload_bits));
-  std::vector<std::string> details(links);
-  std::vector<std::uint8_t> link_free(links, 1);
-  const auto sweep = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t link = begin; link < end; ++link)
-      link_free[link] = evaluate_link(link, accs[link], details[link]) ? 1 : 0;
-  };
-  const unsigned workers =
-      std::max(1u, std::min(threads, static_cast<unsigned>(links)));
-  if (workers <= 1) {
-    sweep(0, links);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = links * w / workers;
-      const std::size_t end = links * (w + 1) / workers;
-      pool.emplace_back(sweep, begin, end);
-    }
-    for (auto& t : pool) t.join();
-  }
+  // Per-link replay in link-id order; the first clashing link is the one
+  // reported.
   bool congestion_free = contention_detail_.empty();
-  for (std::size_t link = 0; link < links; ++link) {
-    bt_.absorb(static_cast<std::int32_t>(link), accs[link]);
-    if (!link_free[link] && congestion_free) {
+  for (std::size_t link = 0; link < bt_.link_count(); ++link) {
+    LinkAccumulator acc(cfg_.flit_payload_bits);
+    std::string detail;
+    if (!evaluate_link(link, acc, detail) && congestion_free) {
       congestion_free = false;
-      contention_detail_ = details[link];
+      contention_detail_ = std::move(detail);
     }
+    bt_.absorb(static_cast<std::int32_t>(link), acc);
   }
 
   // Zero-load transport stats. A packet injected at T with D hops and F

@@ -36,10 +36,8 @@
 // flit per cycle: vc_buffer_depth >= 2 * channel_latency (the credit
 // round trip). unsupported_reason() gates configurations outside that.
 //
-// Per-link work is embarrassingly parallel: run(threads) partitions links
-// across threads with private per-link accumulators and absorbs them into
-// the BtRecorder serially in link-id order, so results are identical for
-// any thread count.
+// run() evaluates the links in id order, absorbing each link's
+// accumulator into the BtRecorder as it finishes.
 
 #include <cstdint>
 #include <string>
@@ -85,8 +83,8 @@ class AnalyticalEngine {
   /// Returns true when the schedule was proven congestion-free (results
   /// exact) — false means the totals are a serialized approximation and
   /// contention_detail() names the first oversubscribed link. Callable
-  /// once. `threads` only affects wall-clock, never results.
-  bool run(unsigned threads = 1);
+  /// once.
+  bool run();
 
   /// Non-empty after run() returned false: which link/cycle clashed (or
   /// the unsupported-config reason).
@@ -118,8 +116,9 @@ class AnalyticalEngine {
     std::uint32_t packet = 0;  ///< index into packets_
   };
 
-  /// Sort one link's crossings into wire order and replay them. Returns
-  /// false (and fills `detail` once) when two crossings overlap.
+  /// Sort one link's crossings into wire order (kept for wire_order())
+  /// and replay them into `acc`. Returns false, and fills `detail` with
+  /// the first clash, when two crossings overlap.
   bool evaluate_link(std::size_t link, LinkAccumulator& acc,
                      std::string& detail);
 

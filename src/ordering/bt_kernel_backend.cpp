@@ -23,41 +23,6 @@ std::unique_ptr<BtKernelBackend> make_avx2_backend();
 
 namespace {
 
-/// Tile edge for the blocked pairwise-HD matrix: a 128x128 tile of the
-/// uint8 matrix plus the two 128-value pattern slices stay well inside L1,
-/// so the quadratic fill streams through cache-resident data.
-constexpr std::size_t kHdTile = 128;
-
-/// Blocked upper-triangle fill over pre-masked values, mirrored per tile.
-/// The base-class matrix kernel; the avx2 tier vectorizes the inner row
-/// scan but keeps the same tiling and mirroring.
-void hd_matrix_blocked(std::span<const std::uint32_t> patterns,
-                       DataFormat format, std::span<std::uint8_t> out) {
-  const std::size_t n = patterns.size();
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  // Pre-mask once: the O(n^2) fill then reads clean values. The tiled fill
-  // only touches off-diagonal entries, so the diagonal is written here —
-  // callers may hand over an uninitialized buffer.
-  std::vector<std::uint32_t> masked(n);
-  for (std::size_t i = 0; i < n; ++i) masked[i] = patterns[i] & mask;
-  for (std::size_t i = 0; i < n; ++i) out[i * n + i] = 0;
-  for (std::size_t i0 = 0; i0 < n; i0 += kHdTile) {
-    const std::size_t i1 = std::min(n, i0 + kHdTile);
-    for (std::size_t j0 = i0; j0 < n; j0 += kHdTile) {
-      const std::size_t j1 = std::min(n, j0 + kHdTile);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const std::uint32_t vi = masked[i];
-        std::uint8_t* row = out.data() + i * n;
-        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
-          const auto d = static_cast<std::uint8_t>(popcount32(vi ^ masked[j]));
-          row[j] = d;
-          out[j * n + i] = d;
-        }
-      }
-    }
-  }
-}
-
 class ScalarBackend final : public BtKernelBackend {
  public:
   std::string_view name() const noexcept override { return "scalar"; }
@@ -152,17 +117,6 @@ void BtKernelBackend::sequence_bt_batch(
     const std::size_t len = std::min(window_values, patterns.size() - start);
     out[w] = sequence_bt(patterns.subspan(start, len), format);
   }
-}
-
-void BtKernelBackend::pairwise_hd_matrix(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::span<std::uint8_t> out) const {
-  if (out.size() != patterns.size() * patterns.size())
-    throw std::invalid_argument(
-        "pairwise_hd_matrix: out holds " + std::to_string(out.size()) +
-        " entries, want n*n = " +
-        std::to_string(patterns.size() * patterns.size()));
-  hd_matrix_blocked(patterns, format, out);
 }
 
 const BtKernelBackend& active_kernel_backend() {

@@ -1,13 +1,12 @@
 #pragma once
 // Vectorized bit-transition kernel tier with runtime dispatch.
 //
-// The ordering hot path — sequence-BT scoring and pairwise-HD matrices
-// over word-packed windows — dominates campaign rows and optimizer
-// evaluations now that the analytical NoC backend and the scenario cache
-// removed most simulation cost. This header turns "which machine kernel
-// counts the transitions" into a registered interface, held in the same
-// Registry template as the OrderingStrategy / PlacementPolicy / Optimizer
-// registries:
+// The ordering hot path — sequence-BT scoring over word-packed windows —
+// dominates campaign rows and optimizer evaluations now that the
+// analytical NoC backend and the scenario cache removed most simulation
+// cost. This header turns "which machine kernel counts the transitions"
+// into a registered interface, held in the same Registry template as the
+// OrderingStrategy / PlacementPolicy / Optimizer registries:
 //
 //   scalar   the word-packed uint64 kernels, one window per call; the
 //            portable tier every host runs
@@ -69,14 +68,6 @@ class BtKernelBackend {
   virtual void sequence_bt_batch(std::span<const std::uint32_t> patterns,
                                  DataFormat format, std::size_t window_values,
                                  std::span<std::uint64_t> out) const;
-
-  /// Row-major n*n pairwise-Hamming-distance matrix into `out` (size
-  /// n*n). Only the upper triangle is computed; the lower half is
-  /// mirrored, and the diagonal is zero. The base implementation works
-  /// block-by-block in cache-resident tiles over pre-masked values.
-  virtual void pairwise_hd_matrix(std::span<const std::uint32_t> patterns,
-                                  DataFormat format,
-                                  std::span<std::uint8_t> out) const;
 
  protected:
   /// Shared argument validation for the batched entry points (throws

@@ -121,16 +121,4 @@ std::uint64_t sequence_bt_reference(std::span<const std::uint32_t> patterns,
   return total;
 }
 
-std::vector<std::uint8_t> pairwise_hd_matrix(
-    std::span<const std::uint32_t> patterns, DataFormat format) {
-  if (value_bits(format) > 255)
-    throw std::invalid_argument(
-        "pairwise_hd_matrix: format is " + std::to_string(value_bits(format)) +
-        " bits wide; distances no longer fit the uint8_t matrix (max 255 "
-        "bits per value)");
-  std::vector<std::uint8_t> matrix(patterns.size() * patterns.size(), 0);
-  active_kernel_backend().pairwise_hd_matrix(patterns, format, matrix);
-  return matrix;
-}
-
 }  // namespace nocbt::ordering

@@ -1,6 +1,5 @@
 #pragma once
-// Word-packed bit-transition / Hamming-distance kernels for the ordering
-// hot path.
+// Word-packed bit-transition kernels for the ordering hot path.
 //
 // The per-window quality metric every strategy optimizes is the *sequence
 // BT*: the total number of wire flips when the window's values traverse a
@@ -71,15 +70,6 @@ struct PackedStream {
 /// tests pin every kernel tier byte-identical to this; micro_ordering
 /// benchmarks the tiers against it.
 [[nodiscard]] std::uint64_t sequence_bt_reference(
-    std::span<const std::uint32_t> patterns, DataFormat format);
-
-/// Row-major n*n matrix of pairwise Hamming distances between the low
-/// value_bits(format) bits of the patterns. The upper triangle is computed
-/// once (block-by-block in cache-resident tiles) and mirrored; the
-/// diagonal is zero. Entries fit uint8_t — formats wider than 255 bits are
-/// rejected with a descriptive error rather than silently truncated.
-/// Dispatches through the active kernel tier.
-[[nodiscard]] std::vector<std::uint8_t> pairwise_hd_matrix(
     std::span<const std::uint32_t> patterns, DataFormat format);
 
 namespace detail {

@@ -68,9 +68,10 @@ const std::uint8_t* load_scratch(std::span<const std::uint32_t> patterns,
     std::uint8_t* out = buf.data();
     for (std::size_t i = 0; i < patterns.size(); ++i)
       out[i] = static_cast<std::uint8_t>(patterns[i]);
-  } else {
+  } else if (bytes != 0) {
     // 32-bit values carry all their bits: the byte stream is the values'
-    // own little-endian bytes.
+    // own little-endian bytes. (An empty span's data() may be null, which
+    // memcpy must not see even for zero bytes.)
     std::memcpy(buf.data(), patterns.data(), bytes);
   }
   return buf.data();
@@ -207,60 +208,6 @@ class Avx2Backend final : public BtKernelBackend {
       const std::size_t len = std::min(window_values, patterns.size() - start);
       out[w] = len < 2 ? 0
                        : pair_popcount_(buf + start * vb, (len - 1) * vb, vb);
-    }
-  }
-
-  void pairwise_hd_matrix(std::span<const std::uint32_t> patterns,
-                          DataFormat format,
-                          std::span<std::uint8_t> out) const override {
-    if (out.size() != patterns.size() * patterns.size())
-      throw std::invalid_argument(
-          "pairwise_hd_matrix: out holds " + std::to_string(out.size()) +
-          " entries, want n*n = " +
-          std::to_string(patterns.size() * patterns.size()));
-    const std::size_t n = patterns.size();
-    const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-    thread_local std::vector<std::uint32_t> masked;
-    masked.resize(n);
-    for (std::size_t i = 0; i < n; ++i) masked[i] = patterns[i] & mask;
-    // The tiled fill only touches off-diagonal entries; write the diagonal
-    // here so callers may hand over an uninitialized buffer.
-    for (std::size_t i = 0; i < n; ++i) out[i * n + i] = 0;
-    // Same 128x128 cache tiling and upper-triangle/mirror discipline as
-    // the scalar tier; the row scan vectorizes 8 distances per step.
-    constexpr std::size_t kTile = 128;
-    const __m256i ones8 = _mm256_set1_epi8(1);
-    const __m256i ones16 = _mm256_set1_epi16(1);
-    for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
-      const std::size_t i1 = std::min(n, i0 + kTile);
-      for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
-        const std::size_t j1 = std::min(n, j0 + kTile);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const std::uint32_t vi = masked[i];
-          std::uint8_t* row = out.data() + i * n;
-          std::size_t j = std::max(j0, i + 1);
-          const __m256i vvi = _mm256_set1_epi32(static_cast<int>(vi));
-          for (; j + 8 <= j1; j += 8) {
-            const __m256i vj = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(masked.data() + j));
-            const __m256i cnt8 = popcount_bytes(_mm256_xor_si256(vvi, vj));
-            // Fold per-byte counts to one u32 distance per lane:
-            // maddubs sums byte pairs to u16, madd sums u16 pairs to u32.
-            const __m256i cnt32 = _mm256_madd_epi16(
-                _mm256_maddubs_epi16(cnt8, ones8), ones16);
-            // Narrow the eight u32 distances (<= 32 each) to bytes.
-            __m256i p16 = _mm256_packus_epi32(cnt32, _mm256_setzero_si256());
-            p16 = _mm256_permute4x64_epi64(p16, 0xD8);
-            const __m128i p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16),
-                                                _mm_setzero_si128());
-            _mm_storel_epi64(reinterpret_cast<__m128i*>(row + j), p8);
-          }
-          for (; j < j1; ++j)
-            row[j] = static_cast<std::uint8_t>(popcount32(vi ^ masked[j]));
-          for (std::size_t m = std::max(j0, i + 1); m < j1; ++m)
-            out[m * n + i] = row[m];
-        }
-      }
     }
   }
 

@@ -8,8 +8,8 @@
 // afford — which is exactly the trade-off the ablation quantifies.
 //
 // This is the naive reference scan. The chain/hdchain strategies
-// (strategy.h) compute the same permutation over a pairwise-HD matrix,
-// and the tests pin the two identical.
+// (strategy.h) compute the same permutation over a compact list of the
+// values not yet chained, and the tests pin the two identical.
 
 #include <cstdint>
 #include <span>

@@ -67,12 +67,11 @@ std::vector<std::uint32_t> materialize_permuted(
 
 /// Nearest-neighbor Hamming-distance chain: same semantics as the naive
 /// reference scan in greedy_chain.h (seed = highest popcount, ties to the
-/// lowest index; successor = minimum HD, ties to the lowest index), but
-/// the distances come from a precomputed pairwise-HD matrix whose row
-/// scans are branch-light and cache-friendly. Windows too large for an
-/// N^2 matrix fall back to on-the-fly distances with identical results.
-constexpr std::size_t kHdMatrixMaxWindow = 4096;
-
+/// lowest index; successor = minimum HD, ties to the lowest index). The
+/// values not yet chained stay masked and in arrival order, so each scan's
+/// first strict minimum is the lowest-index one; the winner is erased,
+/// never swap-removed, to keep that order. Distances are computed as the
+/// scan reads them: the chain reads each pair at most once.
 std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
                                         DataFormat format) {
   const std::size_t n = patterns.size();
@@ -80,38 +79,38 @@ std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
   if (n == 0) return perm;
   perm.reserve(n);
 
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  const bool use_matrix = n <= kHdMatrixMaxWindow;
-  const std::vector<std::uint8_t> matrix =
-      use_matrix ? pairwise_hd_matrix(patterns, format)
-                 : std::vector<std::uint8_t>{};
-
-  std::size_t current = 0;
+  std::size_t seed = 0;
   for (std::size_t i = 1; i < n; ++i)
     if (pattern_popcount(patterns[i], format) >
-        pattern_popcount(patterns[current], format))
-      current = i;
+        pattern_popcount(patterns[seed], format))
+      seed = i;
 
-  std::vector<char> used(n, 0);
-  used[current] = 1;
-  perm.push_back(static_cast<std::uint32_t>(current));
-  for (std::size_t step = 1; step < n; ++step) {
-    const std::uint8_t* row = use_matrix ? matrix.data() + current * n : nullptr;
-    std::size_t best = n;
-    int best_dist = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (used[j]) continue;
-      const int dist =
-          row ? row[j]
-              : popcount32((patterns[current] & mask) ^ (patterns[j] & mask));
-      if (best == n || dist < best_dist) {
-        best = j;
+  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
+  struct Pending {
+    std::uint32_t value;  ///< masked pattern
+    std::uint32_t index;  ///< position in the window
+  };
+  std::vector<Pending> rest;
+  rest.reserve(n - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    if (i != seed)
+      rest.push_back({patterns[i] & mask, static_cast<std::uint32_t>(i)});
+
+  perm.push_back(static_cast<std::uint32_t>(seed));
+  std::uint32_t current = patterns[seed] & mask;
+  while (!rest.empty()) {
+    std::size_t best = 0;
+    int best_dist = popcount32(current ^ rest[0].value);
+    for (std::size_t k = 1; k < rest.size(); ++k) {
+      const int dist = popcount32(current ^ rest[k].value);
+      if (dist < best_dist) {
+        best = k;
         best_dist = dist;
       }
     }
-    used[best] = 1;
-    perm.push_back(static_cast<std::uint32_t>(best));
-    current = best;
+    perm.push_back(rest[best].index);
+    current = rest[best].value;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
   }
   return perm;
 }
@@ -144,17 +143,6 @@ class ArrivalStrategy final : public BuiltinStrategy {
                                    DataFormat) const override {
     return identity_permutation(patterns.size());
   }
-  std::vector<std::uint32_t> order_batch(
-      std::span<const std::uint32_t> patterns, DataFormat,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
-    // One flat identity ramp per window, no per-window allocations.
-    std::vector<std::uint32_t> flat(patterns.size());
-    for (std::size_t i = 0; i < flat.size(); ++i)
-      flat[i] = static_cast<std::uint32_t>(i % window_values);
-    return flat;
-  }
 };
 
 /// "popcount" and "bucket": the stable '1'-count descending sort.
@@ -168,18 +156,15 @@ class PopcountSortStrategy final : public BuiltinStrategy {
 };
 
 /// "chain" and "hdchain": the greedy min-XOR chain, guarded never worse
-/// than arrival order.
+/// than arrival order. order() is order_batch() over one window.
 class HdChainingStrategy final : public BuiltinStrategy {
  public:
   using BuiltinStrategy::BuiltinStrategy;
   bool never_worse_than_arrival() const noexcept override { return true; }
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
-    auto perm = hd_chain_raw(patterns, format);
-    if (permuted_sequence_bt(patterns, perm, format) >
-        sequence_bt(patterns, format))
-      return identity_permutation(patterns.size());
-    return perm;
+    return order_batch(patterns, format,
+                       std::max<std::size_t>(patterns.size(), 1), {});
   }
   std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
@@ -195,8 +180,8 @@ class HdChainingStrategy final : public BuiltinStrategy {
       flat.insert(flat.end(), perm.begin(), perm.end());
     }
     // One batch pass scores every chained window, one (or the caller's
-    // hint) scores arrival order; the same `>` comparison as order()
-    // triggers the identity fall-back on exactly the same windows.
+    // hint) scores arrival order; a window whose chain would add BT falls
+    // back to the identity.
     std::vector<std::uint64_t> abt_store;
     const auto abt =
         arrival_bts(patterns, format, window_values, arrival_bt, abt_store);
@@ -213,24 +198,16 @@ class HdChainingStrategy final : public BuiltinStrategy {
   }
 };
 
+/// Per-window best of arrival, popcount and chain by measured BT.
+/// order() is order_batch() over one window.
 class HybridStrategy final : public BuiltinStrategy {
  public:
   using BuiltinStrategy::BuiltinStrategy;
   bool never_worse_than_arrival() const noexcept override { return true; }
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
-    std::vector<std::uint32_t> best = identity_permutation(patterns.size());
-    std::uint64_t best_bt = sequence_bt(patterns, format);
-    auto pop = popcount_descending_order(patterns, format);
-    const std::uint64_t pop_bt = permuted_sequence_bt(patterns, pop, format);
-    if (pop_bt < best_bt) {
-      best_bt = pop_bt;
-      best = std::move(pop);
-    }
-    auto chain = hd_chain_raw(patterns, format);
-    if (permuted_sequence_bt(patterns, chain, format) < best_bt)
-      best = std::move(chain);
-    return best;
+    return order_batch(patterns, format,
+                       std::max<std::size_t>(patterns.size(), 1), {});
   }
   std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
@@ -261,8 +238,8 @@ class HybridStrategy final : public BuiltinStrategy {
     const auto chain_bt = sequence_bt_batch(
         materialize_permuted(patterns, chain_flat, window_values), format,
         window_values);
-    // Same strict-< cascade as order(): arrival wins ties over popcount,
-    // popcount wins ties over the chain (cheaper circuit first).
+    // Strict-< cascade: arrival wins ties over popcount, popcount wins
+    // ties over the chain (cheaper circuit first).
     std::vector<std::uint32_t> flat(patterns.size());
     for (std::size_t w = 0; w < pop_bt.size(); ++w) {
       const std::size_t start = w * window_values;
@@ -346,8 +323,8 @@ Registry<OrderingStrategy>& strategies() {
            .sequential_scan = true}}),
       std::make_unique<HdChainingStrategy>(StrategyInfo{
           "hdchain",
-          "nearest-neighbor Hamming-distance chaining over a precomputed "
-          "pairwise-HD matrix; same implementation as chain",
+          "nearest-neighbor Hamming-distance chaining (Li et al. operand "
+          "scheduling); same implementation as chain",
           {.summary = "N^2/2 HD array filled at line rate + min-scan per "
                       "emitted value (Li et al. operand scheduling); area "
                       "grows with the window, not the paper's fixed-lane unit",

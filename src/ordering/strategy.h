@@ -20,15 +20,16 @@
 //   popcount  stable '1'-count descending sort (the paper's unit, O1/O2)
 //   bucket    the same sort under the Han et al. sorting unit's cost
 //   chain     greedy min-XOR chain (ablation A4)
-//   hdchain   the same chain under Li et al.'s HD-matrix cost
+//   hdchain   the same chain under Li et al.'s HD-array cost
 //   hybrid    per-window best of {arrival, popcount, chain} by measured BT
 //   twoflit   SIII interleave x1 >= y1 >= x2 >= y2 >= ... across two flits
 //
 // Names that compute the same permutation share one implementation and
 // differ only in description and hardware cost: popcount and bucket run
 // popcount_descending_order's counting sort; chain and hdchain run one
-// greedy chain over a pairwise-HD matrix. The naive chain scan stays in
-// greedy_chain.h as the reference the tests compare against.
+// greedy chain that computes each distance when its scan reads it. The
+// naive chain scan stays in greedy_chain.h as the reference the tests
+// compare against.
 //
 // chain/hdchain/hybrid additionally guarantee they never increase the
 // window's sequence BT versus arrival order (they fall back to the
@@ -82,7 +83,8 @@ class OrderingStrategy {
   /// The default loops order() per window; chain-class and hybrid
   /// strategies override it to push all their sequence-BT scoring through
   /// one BtKernelBackend batch pass per candidate ordering instead of one
-  /// kernel call per window.
+  /// kernel call per window, and their order() is order_batch() over one
+  /// window.
   ///
   /// `arrival_bt` optionally carries precomputed arrival-order sequence
   /// BTs, one per window (the campaign runner shares one batch pass across

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "analysis/bit_stats.h"
 #include "analysis/bt_count.h"
@@ -32,6 +33,15 @@ TEST(Flitize, Float32Slots) {
   EXPECT_EQ(flits[0].width(), 256u);
   EXPECT_EQ(flits[0].get_field(0, 32), 0xDEADBEEFu);
   EXPECT_EQ(flits[0].get_field(32, 32), 0x12345678u);
+}
+
+TEST(Flitize, RejectsZeroValuesPerFlit) {
+  // Zero slots per flit would yield no flits and so a silent 0 BT.
+  const std::vector<std::uint32_t> patterns = {0xAB, 0xCD};
+  EXPECT_THROW((void)flitize(patterns, DataFormat::kFixed8, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)pattern_stream_bt(patterns, DataFormat::kFixed8, 0),
+               std::invalid_argument);
 }
 
 TEST(StreamBt, CountsConsecutivePairsOnly) {

@@ -114,23 +114,6 @@ TEST(SequenceBtKernel, PackedStreamLayoutIsLsbFirst) {
   }
 }
 
-TEST(PairwiseHdMatrix, MatchesDirectPopcount) {
-  for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
-    const auto window = random_patterns(37, value_bits(format), 99);
-    const auto matrix = ordering::pairwise_hd_matrix(window, format);
-    ASSERT_EQ(matrix.size(), window.size() * window.size());
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      EXPECT_EQ(matrix[i * window.size() + i], 0u);
-      for (std::size_t j = 0; j < window.size(); ++j)
-        EXPECT_EQ(matrix[i * window.size() + j],
-                  static_cast<unsigned>(popcount32(window[i] ^ window[j])))
-            << "i=" << i << " j=" << j;
-    }
-  }
-  EXPECT_TRUE(
-      ordering::pairwise_hd_matrix({}, DataFormat::kFixed8).empty());
-}
-
 TEST(StreamBtKernel, WordPackedMatchesPerBitReferenceAcrossWidths) {
   // Flit widths deliberately straddle the word size: the word-packed path
   // (BitVec XOR+popcount) must agree with the naive per-bit walk even when

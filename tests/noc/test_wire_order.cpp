@@ -191,7 +191,7 @@ TEST(WireOrder, AnalyticalEngineEmitsTheCycleEnginesOrder) {
   for (std::size_t i = 0; i < schedule.size(); ++i)
     eng.inject(schedule[i].cycle, schedule[i].src, schedule[i].dst,
                payloads[i]);
-  ASSERT_TRUE(eng.run(2)) << eng.contention_detail();
+  ASSERT_TRUE(eng.run()) << eng.contention_detail();
   const WireOrder analytical = eng.wire_order();
   const CycleRun cycle = run_network(cfg, schedule, payloads);
 

@@ -134,10 +134,10 @@ TEST(StrategyDifferential, BucketSortMatchesPopcountSortExactly) {
 }
 
 TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
-  // chain and hdchain run the greedy chain over a precomputed HD matrix;
-  // the reference is the naive scan plus the never-worse guard, measured
-  // with the per-bit BT reference. The permutations must agree on every
-  // window.
+  // chain and hdchain run the greedy chain over a compact list of the
+  // values not yet chained; the reference is the naive scan plus the
+  // never-worse guard, measured with the per-bit BT reference. The
+  // permutations must agree on every window.
   const auto reference = [](std::span<const std::uint32_t> window,
                             DataFormat format) {
     std::vector<std::uint32_t> perm = greedy_min_xor_chain(window, format);
@@ -171,9 +171,9 @@ TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
             reference(dirty, DataFormat::kFixed8));
 }
 
-TEST(StrategyDifferential, HdChainMatrixFallbackMatchesBeyondThreshold) {
-  // Windows too large for the N^2 matrix use on-the-fly distances; the
-  // permutation must not change across the internal threshold (4096).
+TEST(StrategyDifferential, HdChainMatchesNaiveChainOnLargeWindow) {
+  // A 4200-value fixed-8 window: thousands of distance ties per scan, so
+  // any drift from the lowest-index tie rule shows.
   const DataFormat format = DataFormat::kFixed8;
   const auto window = random_window(4200, format, 77);
   const OrderingStrategy& hdchain = strategies().get("hdchain");
