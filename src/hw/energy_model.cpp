@@ -80,23 +80,4 @@ std::vector<LinkEnergyRow> EnergyModel::annotate(
   return out;
 }
 
-EnergyReport EnergyModel::measure(const noc::BtRecorder& recorder,
-                                  std::uint64_t cycles) const {
-  EnergyReport report;
-  report.cycles = cycles;
-  report.transitions = recorder.total();
-  report.energy_pj = energy_pj(report.transitions);
-  report.power_mw = power_mw(report.transitions, cycles);
-  for (const noc::LinkKind kind :
-       {noc::LinkKind::kInjection, noc::LinkKind::kInterRouter,
-        noc::LinkKind::kEjection}) {
-    const std::uint64_t bt = recorder.by_kind(kind);
-    report.by_kind.push_back(KindEnergyRow{kind, recorder.flits_by_kind(kind),
-                                           bt, energy_pj(bt),
-                                           power_mw(bt, cycles)});
-  }
-  report.links = annotate(recorder.snapshot());
-  return report;
-}
-
 }  // namespace nocbt::hw

@@ -1,7 +1,9 @@
 #pragma once
-// Measured link-energy model (§V-C, closed-loop): converts the bit
-// transitions the noc::BtRecorder actually accumulated into the paper's
-// bottom-line units — pJ of link energy and mW of average link power.
+// Measured link-energy model (§V-C, closed-loop): converts measured bit
+// transitions — a noc::BtRecorder's total() and per-link snapshot(),
+// whether Network charged them flit by flit or the wire-order replay
+// counted them — into the paper's bottom-line units: pJ of link energy
+// and mW of average link power.
 //
 // This complements the static toggle-fraction estimate in link_energy.h:
 // that model *assumes* how many wires toggle per cycle; this one consumes
@@ -54,31 +56,11 @@ struct LinkEnergyRow {
          a.transitions == b.transitions && a.energy_pj == b.energy_pj;
 }
 
-/// Aggregate over one link class.
-struct KindEnergyRow {
-  noc::LinkKind kind = noc::LinkKind::kInterRouter;
-  std::uint64_t flits = 0;
-  std::uint64_t transitions = 0;
-  double energy_pj = 0.0;
-  double power_mw = 0.0;
-};
-
-/// Everything measure() derives from one recorder: scoped totals (matching
-/// BtRecorder::total(), i.e. the BT number campaign rows report), the
-/// per-class breakdown, and one row per monitored link.
-struct EnergyReport {
-  std::uint64_t cycles = 0;       ///< run length the power figures assume
-  std::uint64_t transitions = 0;  ///< in-scope BT (BtRecorder::total())
-  double energy_pj = 0.0;         ///< in-scope energy
-  double power_mw = 0.0;          ///< in-scope average power (0 if cycles 0)
-  std::vector<KindEnergyRow> by_kind;  ///< all three link classes
-  std::vector<LinkEnergyRow> links;    ///< every monitored link, id order
-};
-
 /// Converts transition counts to energy/power at a configured pJ point and
 /// clock. Link counts and widths are never assumed: they are implicit in
-/// the measured counts (measure/annotate) or derived from the live
-/// NocConfig (static_estimate).
+/// the measured counts (energy_pj/power_mw of BtRecorder::total(),
+/// annotate of its snapshot()) or derived from the live NocConfig
+/// (static_estimate).
 class EnergyModel {
  public:
   EnergyModel() : EnergyModel(EnergyModelConfig{}) {}
@@ -106,10 +88,6 @@ class EnergyModel {
   /// Attach energy to frozen per-link counters (BtRecorder::snapshot()).
   [[nodiscard]] std::vector<LinkEnergyRow> annotate(
       const std::vector<noc::LinkObservation>& links) const;
-
-  /// Full measured report for a recorder after a run of `cycles` cycles.
-  [[nodiscard]] EnergyReport measure(const noc::BtRecorder& recorder,
-                                     std::uint64_t cycles) const;
 
  private:
   EnergyModelConfig config_;

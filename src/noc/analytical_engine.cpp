@@ -4,38 +4,29 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "noc/network.h"
+
 namespace nocbt::noc {
 
 AnalyticalEngine::AnalyticalEngine(const NocConfig& cfg)
-    : cfg_(cfg),
-      shape_(cfg.rows, cfg.cols),
-      bt_(cfg.bt_scope, cfg.flit_payload_bits) {
+    : cfg_(cfg), shape_(cfg.rows, cfg.cols), links_(mesh_links(shape_)) {
   cfg_.validate();
   stats_.sim.engine = SimEngine::kAnalytical;
-
-  // Register links in exactly Network::build's order so link ids (and
-  // therefore snapshots, heatmaps and energy rows) are interchangeable
-  // between engines: all inter-router links node-major/port-minor, then
-  // per node the injection and ejection links.
-  const std::int32_t n = shape_.node_count();
-  inter_link_.assign(static_cast<std::size_t>(n) * 4, -1);
-  for (std::int32_t node = 0; node < n; ++node) {
-    for (Port port : {kEast, kWest, kNorth, kSouth}) {
-      const std::int32_t nbr = shape_.neighbor(node, port);
-      if (nbr < 0) continue;
-      inter_link_[static_cast<std::size_t>(node) * 4 + port] =
-          bt_.register_link(LinkInfo{LinkKind::kInterRouter, node, nbr, port});
-    }
+  const auto n = static_cast<std::size_t>(shape_.node_count());
+  output_link_.assign(n * kNumPorts, -1);
+  injection_link_.assign(n, -1);
+  for (std::size_t id = 0; id < links_.size(); ++id) {
+    const LinkInfo& info = links_[id];
+    const auto node = static_cast<std::size_t>(info.src);
+    if (info.kind == LinkKind::kInjection)
+      injection_link_[node] = static_cast<std::int32_t>(id);
+    else
+      output_link_[node * kNumPorts +
+                   static_cast<std::size_t>(info.src_port)] =
+          static_cast<std::int32_t>(id);
   }
-  injection_link_.reserve(static_cast<std::size_t>(n));
-  ejection_link_.reserve(static_cast<std::size_t>(n));
-  for (std::int32_t node = 0; node < n; ++node) {
-    injection_link_.push_back(
-        bt_.register_link(LinkInfo{LinkKind::kInjection, node, node, -1}));
-    ejection_link_.push_back(
-        bt_.register_link(LinkInfo{LinkKind::kEjection, node, node, kLocal}));
-  }
-  crossings_.resize(bt_.link_count());
+  crossings_.resize(links_.size());
+  payloads_.words_per_flit = (cfg_.flit_payload_bits + 63) / 64;
 }
 
 std::string AnalyticalEngine::unsupported_reason(const NocConfig& cfg) {
@@ -56,40 +47,17 @@ std::uint64_t AnalyticalEngine::inject(std::uint64_t cycle, std::int32_t src,
                                        const std::vector<BitVec>& payloads) {
   if (ran_)
     throw std::logic_error("AnalyticalEngine::inject: run() already called");
-  const std::int32_t nodes = shape_.node_count();
-  if (src < 0 || src >= nodes)
-    throw std::invalid_argument("AnalyticalEngine::inject: src node " +
-                                std::to_string(src) + " outside mesh of " +
-                                std::to_string(nodes) + " nodes");
-  if (dst < 0 || dst >= nodes)
-    throw std::invalid_argument("AnalyticalEngine::inject: dst node " +
-                                std::to_string(dst) + " outside mesh of " +
-                                std::to_string(nodes) + " nodes");
-  if (src == dst && !cfg_.allow_self_traffic)
-    throw std::invalid_argument(
-        "AnalyticalEngine::inject: src == dst (" + std::to_string(src) +
-        ") but NocConfig::allow_self_traffic is off");
-  if (payloads.empty())
-    throw std::invalid_argument(
-        "AnalyticalEngine::inject: packet needs >= 1 flit");
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    if (payloads[i].width() != cfg_.flit_payload_bits)
-      throw std::invalid_argument(
-          "AnalyticalEngine::inject: payload " + std::to_string(i) + " is " +
-          std::to_string(payloads[i].width()) + " bits wide, link carries " +
-          std::to_string(cfg_.flit_payload_bits));
-  }
+  check_injection(cfg_, src, dst, payloads, "AnalyticalEngine::inject");
 
   PacketRec rec;
   rec.inject_cycle = cycle;
   rec.dst = dst;
   rec.hops = shape_.manhattan(src, dst);
   rec.flits = static_cast<std::uint32_t>(payloads.size());
-  rec.first = payloads.front();
-  rec.last = payloads.back();
-  for (std::size_t i = 1; i < payloads.size(); ++i)
-    rec.intra_bt += static_cast<std::uint64_t>(
-        payloads[i - 1].transitions_to(payloads[i]));
+  for (const BitVec& flit : payloads)
+    payloads_.words.insert(payloads_.words.end(), flit.words().begin(),
+                           flit.words().end());
+  payloads_.packet_begin.push_back(payloads_.packet_begin.back() + rec.flits);
 
   // Walk the route, recording one crossing per physical link. Flit f of
   // this packet pushes onto hop h's link at cycle T + h*L + f.
@@ -102,16 +70,16 @@ std::uint64_t AnalyticalEngine::inject(std::uint64_t cycle, std::int32_t src,
     ++hop;
   };
   cross(injection_link_[static_cast<std::size_t>(src)]);
-  for (std::int32_t at = src; at != dst;) {
+  for (std::int32_t at = src;;) {
     const Port port = route_dimension_ordered(shape_, cfg_.routing, at, dst);
-    cross(inter_link_[static_cast<std::size_t>(at) * 4 + port]);
+    cross(output_link_[static_cast<std::size_t>(at) * kNumPorts + port]);
+    if (port == kLocal) break;
     at = shape_.neighbor(at, port);
   }
-  cross(ejection_link_[static_cast<std::size_t>(dst)]);
 
   ++stats_.packets_injected;
   stats_.flits_injected += rec.flits;
-  packets_.push_back(std::move(rec));
+  packets_.push_back(rec);
   return idx;
 }
 
@@ -120,39 +88,43 @@ WireOrder AnalyticalEngine::wire_order() const {
     throw std::logic_error(
         "AnalyticalEngine::wire_order: run() did not prove the schedule "
         "congestion-free");
-  WireOrderRecorder rec(crossings_.size());
+  return order();
+}
+
+WireOrder AnalyticalEngine::order() const {
+  WireOrderRecorder rec(links_, cfg_.flit_payload_bits);
   for (const PacketRec& p : packets_) rec.add_packet(p.flits);
   for (std::size_t link = 0; link < crossings_.size(); ++link)
     for (const Crossing& c : crossings_[link])
       for (std::uint32_t f = 0; f < packets_[c.packet].flits; ++f)
         rec.push(static_cast<std::int32_t>(link), c.packet, f);
-  return rec.finish(bt_, cfg_);
+  return rec.finish();
 }
 
-bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
-                                     std::string& detail) {
+BtRecorder AnalyticalEngine::bt() const {
+  return score_wire_order(order(), payloads_);
+}
+
+bool AnalyticalEngine::sort_link(std::size_t link, std::string& detail) {
   auto& crossings = crossings_[link];
   std::sort(crossings.begin(), crossings.end(),
             [](const Crossing& a, const Crossing& b) {
               return a.start != b.start ? a.start < b.start
                                         : a.packet < b.packet;
             });
-  bool free = true;
   std::uint64_t busy_until = 0;  // first cycle the wire is free again
   for (const Crossing& c : crossings) {
-    const PacketRec& p = packets_[c.packet];
-    if (&c != crossings.data() && c.start < busy_until && free) {
-      free = false;
-      const LinkInfo& info = bt_.link_info(static_cast<std::int32_t>(link));
+    if (&c != crossings.data() && c.start < busy_until) {
+      const LinkInfo& info = links_[link];
       detail = "link " + std::to_string(link) + " (" + to_string(info.kind) +
                " " + std::to_string(info.src) + " -> " +
                std::to_string(info.dst) + ") still busy at cycle " +
                std::to_string(c.start) + "; schedule is not congestion-free";
+      return false;
     }
-    busy_until = c.start + p.flits;
-    acc.observe_packet(p.first, p.last, p.intra_bt, p.flits);
+    busy_until = c.start + packets_[c.packet].flits;
   }
-  return free;
+  return true;
 }
 
 bool AnalyticalEngine::run() {
@@ -160,17 +132,15 @@ bool AnalyticalEngine::run() {
   ran_ = true;
   contention_detail_ = unsupported_reason(cfg_);
 
-  // Per-link replay in link-id order; the first clashing link is the one
-  // reported.
+  // Every link is sorted, in link-id order; the first clashing link is the
+  // one reported.
   bool congestion_free = contention_detail_.empty();
-  for (std::size_t link = 0; link < bt_.link_count(); ++link) {
-    LinkAccumulator acc(cfg_.flit_payload_bits);
+  for (std::size_t link = 0; link < crossings_.size(); ++link) {
     std::string detail;
-    if (!evaluate_link(link, acc, detail) && congestion_free) {
+    if (!sort_link(link, detail) && congestion_free) {
       congestion_free = false;
       contention_detail_ = std::move(detail);
     }
-    bt_.absorb(static_cast<std::int32_t>(link), acc);
   }
 
   // Zero-load transport stats. A packet injected at T with D hops and F
@@ -181,21 +151,21 @@ bool AnalyticalEngine::run() {
   // cycle engines' order: by delivery cycle, then destination node (NIs
   // step in node order within a cycle).
   const std::uint64_t latency = cfg_.channel_latency;
-  std::vector<std::uint32_t> order(packets_.size());
-  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> by_delivery(packets_.size());
+  std::iota(by_delivery.begin(), by_delivery.end(), 0u);
   const auto delivery = [&](std::uint32_t i) {
     const PacketRec& p = packets_[i];
     return p.inject_cycle +
            (static_cast<std::uint64_t>(p.hops) + 2) * latency + p.flits - 1;
   };
-  std::stable_sort(order.begin(), order.end(),
+  std::stable_sort(by_delivery.begin(), by_delivery.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      const std::uint64_t da = delivery(a), db = delivery(b);
                      if (da != db) return da < db;
                      return packets_[a].dst < packets_[b].dst;
                    });
   cycle_ = 0;
-  for (const std::uint32_t i : order) {
+  for (const std::uint32_t i : by_delivery) {
     const PacketRec& p = packets_[i];
     ++stats_.packets_delivered;
     stats_.flits_delivered += p.flits;

@@ -6,16 +6,18 @@
 //
 //   * every packet's dimension-ordered route is walked once, producing the
 //     exact sequence of physical links it crosses (injection link, D
-//     inter-router links, ejection link — the same links, with the same
-//     link ids, that Network::build registers);
+//     inter-router links, ejection link — indexed in mesh_links(), the
+//     table Network builds its channels from);
 //   * under zero-load timing, flit f of a packet injected at cycle T
 //     crosses its h-th link at cycle T + h*L + f (L = channel latency),
 //     so each (packet, link) crossing occupies the closed cycle interval
 //     [T + h*L, T + h*L + F - 1];
-//   * per-link bit transitions are accumulated by replaying each link's
-//     crossings in wire order (sorted by start cycle) through the same
-//     LinkAccumulator the cycle engines charge — one boundary popcount
-//     plus the packet's precomputed internal transitions per crossing;
+//   * run() sorts each link's crossings by start cycle and checks them for
+//     overlaps; with every packet's flits back to back, that is each
+//     link's wire order (noc/wire_order.h);
+//   * per-link bit transitions are score_wire_order over that order and
+//     the injected payloads — the same replay that scores every ordered
+//     mode of a campaign grid point;
 //   * zero-load latency, hop counts, drain time and delivery order follow
 //     in closed form, reproducing the cycle engines' NocStats
 //     byte-for-byte (Welford accumulators included: deliveries are added
@@ -35,9 +37,6 @@
 // Exactness additionally needs the wormhole credit loop to sustain one
 // flit per cycle: vc_buffer_depth >= 2 * channel_latency (the credit
 // round trip). unsupported_reason() gates configurations outside that.
-//
-// run() evaluates the links in id order, absorbing each link's
-// accumulator into the BtRecorder as it finishes.
 
 #include <cstdint>
 #include <string>
@@ -65,10 +64,9 @@ class AnalyticalEngine {
   /// flits.)
   [[nodiscard]] static std::string unsupported_reason(const NocConfig& cfg);
 
-  /// Submit a packet injected at `cycle`. Mirrors Network::inject's
-  /// validation (bounds, self-traffic gate, payload width); only the
-  /// packet's first/last payloads and internal transition count are
-  /// retained. Must not be called after run(). Returns the packet id.
+  /// Submit a packet injected at `cycle`, checked as Network::inject
+  /// checks it (check_injection). The payload words are kept for bt().
+  /// Must not be called after run(). Returns the packet id.
   std::uint64_t inject(std::uint64_t cycle, std::int32_t src, std::int32_t dst,
                        const std::vector<BitVec>& payloads);
 
@@ -79,11 +77,11 @@ class AnalyticalEngine {
   /// not the order a cycle engine would realize).
   [[nodiscard]] WireOrder wire_order() const;
 
-  /// Evaluate the schedule: per-link flits/BT, NocStats, drain cycle.
-  /// Returns true when the schedule was proven congestion-free (results
-  /// exact) — false means the totals are a serialized approximation and
-  /// contention_detail() names the first oversubscribed link. Callable
-  /// once.
+  /// Evaluate the schedule: sort and check every link's crossings, then
+  /// NocStats and the drain cycle. Returns true when the schedule was
+  /// proven congestion-free (results exact) — false means the totals are a
+  /// serialized approximation and contention_detail() names the first
+  /// oversubscribed link. Callable once.
   bool run();
 
   /// Non-empty after run() returned false: which link/cycle clashed (or
@@ -92,7 +90,10 @@ class AnalyticalEngine {
     return contention_detail_;
   }
 
-  [[nodiscard]] const BtRecorder& bt() const noexcept { return bt_; }
+  /// Per-link flits and BT (valid after run()): score_wire_order over the
+  /// injected payloads in each link's crossing order, computed on every
+  /// call. After a contended run this charges the serialized order.
+  [[nodiscard]] BtRecorder bt() const;
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
   /// Drain cycle (valid after run()): the cycle count a cycle engine
   /// reports after run_until_idle on the same schedule.
@@ -104,10 +105,8 @@ class AnalyticalEngine {
   struct PacketRec {
     std::uint64_t inject_cycle = 0;
     std::int32_t dst = -1;
-    std::int32_t hops = 0;       ///< manhattan(src, dst)
+    std::int32_t hops = 0;  ///< manhattan(src, dst)
     std::uint32_t flits = 0;
-    std::uint64_t intra_bt = 0;  ///< transitions between consecutive flits
-    BitVec first, last;          ///< head/tail payloads (wire boundary state)
   };
   /// One packet's occupancy of one link: flits push on cycles
   /// [start, start + flits - 1].
@@ -116,15 +115,16 @@ class AnalyticalEngine {
     std::uint32_t packet = 0;  ///< index into packets_
   };
 
-  /// Sort one link's crossings into wire order (kept for wire_order())
-  /// and replay them into `acc`. Returns false, and fills `detail` with
-  /// the first clash, when two crossings overlap.
-  bool evaluate_link(std::size_t link, LinkAccumulator& acc,
-                     std::string& detail);
+  /// Sort one link's crossings into wire order. Returns false, and fills
+  /// `detail` with the first clash, when two crossings overlap.
+  bool sort_link(std::size_t link, std::string& detail);
+
+  /// Every link's crossings as a WireOrder, without wire_order()'s guard.
+  [[nodiscard]] WireOrder order() const;
 
   NocConfig cfg_;
   MeshShape shape_;
-  BtRecorder bt_;
+  std::vector<LinkInfo> links_;  ///< mesh_links(shape_)
   NocStats stats_;
   std::uint64_t cycle_ = 0;
   bool ran_ = false;
@@ -132,12 +132,12 @@ class AnalyticalEngine {
   std::string contention_detail_;
 
   std::vector<PacketRec> packets_;
-  // Link table in Network::build registration order. inter_link_[node*4 +
-  // port] is the inter-router link id out of `node` through `port` (-1 at
-  // mesh edges); injection_link_/ejection_link_ are per node.
-  std::vector<std::int32_t> inter_link_;
+  FlatPayloads payloads_;  ///< every injected flit, in injection order
+  /// Link id out of router `node` through port p at [node * kNumPorts + p]
+  /// (kLocal: the ejection link; -1 at mesh edges), and into it from its NI
+  /// at injection_link_[node].
+  std::vector<std::int32_t> output_link_;
   std::vector<std::int32_t> injection_link_;
-  std::vector<std::int32_t> ejection_link_;
   std::vector<std::vector<Crossing>> crossings_;  ///< per link id
 };
 

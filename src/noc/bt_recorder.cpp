@@ -2,44 +2,50 @@
 
 namespace nocbt::noc {
 
+std::vector<LinkInfo> mesh_links(const MeshShape& shape) {
+  const std::int32_t n = shape.node_count();
+  std::vector<LinkInfo> links;
+  for (std::int32_t node = 0; node < n; ++node) {
+    for (Port port : {kEast, kWest, kNorth, kSouth}) {
+      const std::int32_t nbr = shape.neighbor(node, port);
+      if (nbr >= 0)
+        links.push_back(LinkInfo{LinkKind::kInterRouter, node, nbr, port});
+    }
+  }
+  for (std::int32_t node = 0; node < n; ++node) {
+    links.push_back(LinkInfo{LinkKind::kInjection, node, node, -1});
+    links.push_back(LinkInfo{LinkKind::kEjection, node, node, kLocal});
+  }
+  return links;
+}
+
 std::int32_t BtRecorder::register_link(const LinkInfo& info) {
   const auto id = static_cast<std::int32_t>(links_.size());
   links_.push_back(info);
-  accs_.emplace_back(payload_bits_);
+  accs_.push_back(LinkAccumulator{BitVec(payload_bits_)});
   return id;
 }
 
 void BtRecorder::observe(std::int32_t link_id, const BitVec& payload) {
   const auto idx = static_cast<std::size_t>(link_id);
-  const auto kind = static_cast<std::size_t>(links_[idx].kind);
-  kind_bt_[kind] += accs_[idx].observe(payload);
-  ++kind_flits_[kind];
+  LinkAccumulator& acc = accs_[idx];
+  const auto bt = static_cast<std::uint64_t>(acc.wire.transitions_to(payload));
+  acc.wire = payload;
+  acc.transitions += bt;
+  ++acc.flits;
+  kind_bt_[static_cast<std::size_t>(links_[idx].kind)] += bt;
 }
 
-void BtRecorder::absorb(std::int32_t link_id, const LinkAccumulator& partial) {
+void BtRecorder::add(std::int32_t link_id, std::uint64_t flits,
+                     std::uint64_t transitions) {
   const auto idx = static_cast<std::size_t>(link_id);
-  const auto kind = static_cast<std::size_t>(links_[idx].kind);
-  accs_[idx].prev = partial.prev;
-  accs_[idx].flits += partial.flits;
-  accs_[idx].transitions += partial.transitions;
-  kind_bt_[kind] += partial.transitions;
-  kind_flits_[kind] += partial.flits;
-}
-
-bool BtRecorder::in_scope(LinkKind kind) const noexcept {
-  switch (kind) {
-    case LinkKind::kInjection: return scope_.count_injection;
-    case LinkKind::kInterRouter: return scope_.count_inter_router;
-    case LinkKind::kEjection: return scope_.count_ejection;
-  }
-  return false;
+  accs_[idx].flits += flits;
+  accs_[idx].transitions += transitions;
+  kind_bt_[static_cast<std::size_t>(links_[idx].kind)] += transitions;
 }
 
 std::uint64_t BtRecorder::total() const noexcept {
-  std::uint64_t sum = 0;
-  for (int k = 0; k < 3; ++k)
-    if (in_scope(static_cast<LinkKind>(k))) sum += kind_bt_[k];
-  return sum;
+  return by_kind(LinkKind::kInterRouter) + by_kind(LinkKind::kEjection);
 }
 
 std::uint64_t BtRecorder::total_all_links() const noexcept {
@@ -53,30 +59,6 @@ std::vector<LinkObservation> BtRecorder::snapshot() const {
     out.push_back(LinkObservation{static_cast<std::int32_t>(i), links_[i],
                                   accs_[i].flits, accs_[i].transitions});
   return out;
-}
-
-std::uint64_t BtRecorder::flits_in_scope() const noexcept {
-  std::uint64_t sum = 0;
-  for (int k = 0; k < 3; ++k)
-    if (in_scope(static_cast<LinkKind>(k))) sum += kind_flits_[k];
-  return sum;
-}
-
-double BtRecorder::bt_per_flit() const noexcept {
-  const std::uint64_t flits = flits_in_scope();
-  return flits ? static_cast<double>(total()) / static_cast<double>(flits) : 0.0;
-}
-
-void BtRecorder::reset() noexcept {
-  for (auto& a : accs_) {
-    a.prev.clear();
-    a.flits = 0;
-    a.transitions = 0;
-  }
-  for (int k = 0; k < 3; ++k) {
-    kind_bt_[k] = 0;
-    kind_flits_[k] = 0;
-  }
 }
 
 std::string to_string(LinkKind kind) {

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace nocbt::noc {
 
 Network::Network(const NocConfig& cfg)
     : cfg_(cfg),
       shape_(cfg.rows, cfg.cols),
-      bt_(cfg.bt_scope, cfg.flit_payload_bits),
+      bt_(cfg.flit_payload_bits),
       active_engine_(cfg.engine == SimEngine::kActiveSet) {
   cfg_.validate();
   if (cfg_.engine == SimEngine::kAnalytical)
@@ -51,35 +53,34 @@ void Network::build() {
   for (std::int32_t i = 0; i < n; ++i) routers_.emplace_back(cfg_, shape_, i);
   for (std::int32_t i = 0; i < n; ++i) nis_.emplace_back(cfg_, i);
 
-  // Inter-router links: one flit channel + one reverse credit channel per
-  // directed adjacency. Flits are consumed by the downstream router;
-  // returned credits by the upstream one.
-  for (std::int32_t node = 0; node < n; ++node) {
-    for (Port port : {kEast, kWest, kNorth, kSouth}) {
-      const std::int32_t nbr = shape_.neighbor(node, port);
-      if (nbr < 0) continue;
-      Channel<Flit>* flits = new_flit_channel(
-          LinkInfo{LinkKind::kInterRouter, node, nbr, port},
-          router_comp(nbr));
-      Channel<Credit>* credits = new_credit_channel(router_comp(node));
-      routers_[node].connect_output(port, flits, credits);
-      routers_[nbr].connect_input(opposite(port), flits, credits);
+  // One flit channel per link, in link-id order, plus a reverse credit
+  // channel. Flits are consumed downstream, returned credits upstream.
+  for (const LinkInfo& info : mesh_links(shape_)) {
+    const std::int32_t node = info.src;
+    switch (info.kind) {
+      case LinkKind::kInterRouter: {
+        const auto port = static_cast<Port>(info.src_port);
+        Channel<Flit>* flits = new_flit_channel(info, router_comp(info.dst));
+        Channel<Credit>* credits = new_credit_channel(router_comp(node));
+        routers_[node].connect_output(port, flits, credits);
+        routers_[info.dst].connect_input(opposite(port), flits, credits);
+        break;
+      }
+      case LinkKind::kInjection: {
+        Channel<Flit>* flits = new_flit_channel(info, router_comp(node));
+        Channel<Credit>* credits = new_credit_channel(node);
+        nis_[node].connect_injection(flits, credits);
+        routers_[node].connect_input(kLocal, flits, credits);
+        break;
+      }
+      case LinkKind::kEjection: {
+        Channel<Flit>* flits = new_flit_channel(info, node);
+        Channel<Credit>* credits = new_credit_channel(router_comp(node));
+        routers_[node].connect_output(kLocal, flits, credits);
+        nis_[node].connect_ejection(flits, credits);
+        break;
+      }
     }
-  }
-
-  // NI <-> router local-port links.
-  for (std::int32_t node = 0; node < n; ++node) {
-    Channel<Flit>* inj = new_flit_channel(
-        LinkInfo{LinkKind::kInjection, node, node, -1}, router_comp(node));
-    Channel<Credit>* inj_credits = new_credit_channel(node);
-    nis_[node].connect_injection(inj, inj_credits);
-    routers_[node].connect_input(kLocal, inj, inj_credits);
-
-    Channel<Flit>* ej = new_flit_channel(
-        LinkInfo{LinkKind::kEjection, node, node, kLocal}, node);
-    Channel<Credit>* ej_credits = new_credit_channel(router_comp(node));
-    routers_[node].connect_output(kLocal, ej, ej_credits);
-    nis_[node].connect_ejection(ej, ej_credits);
   }
 }
 
@@ -96,30 +97,32 @@ void Network::set_sink(std::int32_t node, PacketSink sink) {
       });
 }
 
+void check_injection(const NocConfig& cfg, std::int32_t src,
+                     std::int32_t dst, const std::vector<BitVec>& payloads,
+                     const char* who) {
+  const std::int32_t nodes = cfg.node_count();
+  const auto fail = [who](const std::string& what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  for (const auto& [role, node] :
+       {std::pair{"src", src}, std::pair{"dst", dst}})
+    if (node < 0 || node >= nodes)
+      fail(std::string(role) + " node " + std::to_string(node) +
+           " outside mesh of " + std::to_string(nodes) + " nodes");
+  if (src == dst && !cfg.allow_self_traffic)
+    fail("src == dst (" + std::to_string(src) +
+         ") but NocConfig::allow_self_traffic is off");
+  if (payloads.empty()) fail("packet needs >= 1 flit");
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    if (payloads[i].width() != cfg.flit_payload_bits)
+      fail("payload " + std::to_string(i) + " is " +
+           std::to_string(payloads[i].width()) + " bits wide, link carries " +
+           std::to_string(cfg.flit_payload_bits));
+}
+
 std::uint64_t Network::inject(std::int32_t src, std::int32_t dst,
                               std::vector<BitVec> payloads) {
-  const std::int32_t nodes = shape_.node_count();
-  if (src < 0 || src >= nodes)
-    throw std::invalid_argument("Network::inject: src node " +
-                                std::to_string(src) + " outside mesh of " +
-                                std::to_string(nodes) + " nodes");
-  if (dst < 0 || dst >= nodes)
-    throw std::invalid_argument("Network::inject: dst node " +
-                                std::to_string(dst) + " outside mesh of " +
-                                std::to_string(nodes) + " nodes");
-  if (src == dst && !cfg_.allow_self_traffic)
-    throw std::invalid_argument(
-        "Network::inject: src == dst (" + std::to_string(src) +
-        ") but NocConfig::allow_self_traffic is off");
-  if (payloads.empty())
-    throw std::invalid_argument("Network::inject: packet needs >= 1 flit");
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    if (payloads[i].width() != cfg_.flit_payload_bits)
-      throw std::invalid_argument(
-          "Network::inject: payload " + std::to_string(i) + " is " +
-          std::to_string(payloads[i].width()) + " bits wide, link carries " +
-          std::to_string(cfg_.flit_payload_bits));
-  }
+  check_injection(cfg_, src, dst, payloads, "Network::inject");
   if (wire_) wire_->add_packet(payloads.size());
   Packet packet;
   packet.id = next_packet_id_++;
@@ -139,14 +142,15 @@ void Network::record_wire_order() {
   if (next_packet_id_ > 0)
     throw std::logic_error(
         "Network::record_wire_order: packets were already injected");
-  wire_ = std::make_unique<WireOrderRecorder>(bt_.link_count());
+  wire_ = std::make_unique<WireOrderRecorder>(mesh_links(shape_),
+                                              cfg_.flit_payload_bits);
 }
 
 WireOrder Network::take_wire_order() {
   if (!wire_)
     throw std::logic_error(
         "Network::take_wire_order: record_wire_order() was not called");
-  WireOrder order = wire_->finish(bt_, cfg_);
+  WireOrder order = wire_->finish();
   wire_.reset();
   return order;
 }

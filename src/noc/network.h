@@ -1,9 +1,10 @@
 #pragma once
 // Network: the assembled NoC.
 //
-// Owns the mesh of routers, all flit/credit channels, one network interface
-// per node, the BT recorder tapping every physical link, and the transport
-// statistics. This is the public entry point of the NoC library:
+// Owns the mesh of routers, all flit/credit channels (one per entry of
+// mesh_links(), in link-id order), one network interface per node, the BT
+// recorder tapping every physical link, and the transport statistics.
+// This is the public entry point of the NoC library:
 //
 //   NocConfig cfg;                       // 4x4, 4 VCs, XY, 512-bit links
 //   Network net(cfg);
@@ -11,6 +12,11 @@
 //   net.inject(src, dst, payloads);
 //   net.run_until_idle();
 //   net.bt().total();                    // accumulated bit transitions
+//
+// BT is charged per flit, as each flit is pushed onto a link. Replaying
+// recorded payloads instead (noc/wire_order.h, as AnalyticalEngine does)
+// would hold a whole run's flit words in memory, and this charge is the
+// independent reference the replay is tested against.
 //
 // Two step-loop engines share the identical component models
 // (NocConfig::engine):
@@ -51,6 +57,16 @@
 #include "noc/wire_order.h"
 
 namespace nocbt::noc {
+
+/// Throws std::invalid_argument, its message starting with `who`, unless a
+/// packet of `payloads` from `src` to `dst` may enter a network configured
+/// by `cfg`: both nodes inside the mesh, src != dst unless
+/// allow_self_traffic, at least one flit, and every flit exactly
+/// flit_payload_bits wide. Network::inject and AnalyticalEngine::inject
+/// both call it.
+void check_injection(const NocConfig& cfg, std::int32_t src,
+                     std::int32_t dst, const std::vector<BitVec>& payloads,
+                     const char* who);
 
 class Network : private ChannelWaker {
  public:
@@ -101,8 +117,8 @@ class Network : private ChannelWaker {
   [[nodiscard]] const MeshShape& shape() const noexcept { return shape_; }
   [[nodiscard]] const NocConfig& config() const noexcept { return cfg_; }
 
+  /// Per-link BT, charged flit by flit as each is pushed onto its link.
   [[nodiscard]] const BtRecorder& bt() const noexcept { return bt_; }
-  [[nodiscard]] BtRecorder& bt() noexcept { return bt_; }
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
 
   /// Packets queued at `node`'s NI, not yet assigned an injection VC.

@@ -53,14 +53,6 @@ enum class SimEngine : std::uint8_t {
                               "' (want active | fullscan | analytical)");
 }
 
-/// Which link classes the BT recorder accumulates. The paper's Fig. 8 sums
-/// over router output ports, i.e. inter-router links plus ejection links.
-struct BtScopeConfig {
-  bool count_injection = false;  ///< NI -> router links (NI output ports)
-  bool count_inter_router = true;
-  bool count_ejection = true;    ///< router -> NI links (router local outports)
-};
-
 /// Full network configuration.
 struct NocConfig {
   std::int32_t rows = 4;
@@ -71,7 +63,6 @@ struct NocConfig {
   unsigned channel_latency = 1;      ///< link traversal cycles
   RoutingAlgorithm routing = RoutingAlgorithm::kXY;
   SimEngine engine = SimEngine::kActiveSet;  ///< step-loop implementation
-  BtScopeConfig bt_scope;
   /// Accept src == dst packets (NI -> router local port -> NI loopback).
   /// Synthetic traffic patterns usually want these rejected at injection so
   /// a misconfigured generator fails loudly instead of inflating delivery

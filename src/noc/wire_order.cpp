@@ -93,21 +93,17 @@ void WireOrderRecorder::push(std::int32_t link, std::uint64_t packet,
   l.last = index;
 }
 
-WireOrder WireOrderRecorder::finish(const BtRecorder& bt,
-                                    const NocConfig& cfg) {
+WireOrder WireOrderRecorder::finish() {
   WireOrder order;
-  order.scope = cfg.bt_scope;
-  order.payload_bits = cfg.flit_payload_bits;
+  order.links = std::move(info_);
+  order.payload_bits = payload_bits_;
   order.packet_begin = std::move(packet_begin_);
   std::size_t total = 0;
   for (const Link& l : links_) total += l.bytes.size();
   order.bytes.reserve(total);
-  order.links.reserve(links_.size());
   order.link_begin.reserve(links_.size() + 1);
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    order.links.push_back(bt.link_info(static_cast<std::int32_t>(l)));
-    order.bytes.insert(order.bytes.end(), links_[l].bytes.begin(),
-                       links_[l].bytes.end());
+  for (const Link& l : links_) {
+    order.bytes.insert(order.bytes.end(), l.bytes.begin(), l.bytes.end());
     order.link_begin.push_back(order.bytes.size());
   }
   links_.clear();
@@ -175,36 +171,29 @@ BtRecorder score_wire_order(const WireOrder& order,
           static_cast<std::uint32_t>(transitions(flit(i - 1), flit(i)));
   }
 
-  BtRecorder bt(order.scope, order.payload_bits);
+  BtRecorder bt(order.payload_bits);
   for (std::size_t l = 0; l < order.links.size(); ++l) {
     const std::int32_t link = bt.register_link(order.links[l]);
     Decoder decoder(order, l);
     if (decoder.done()) continue;
-    // LinkAccumulator::observe per crossing: charge popcount(wire XOR
-    // flit), latch the flit. The wire starts all-zero.
-    LinkAccumulator acc(order.payload_bits);
+    // BtRecorder::observe per crossing: charge popcount(wire XOR flit),
+    // latch the flit. The wire starts all-zero.
     bool consecutive = false;
     std::uint32_t prev = decoder.next(consecutive);
+    std::uint64_t bt_sum = 0;
     for (const std::uint64_t word : flit(prev))
-      acc.transitions += static_cast<std::uint64_t>(popcount64(word));
-    acc.flits = 1;
+      bt_sum += static_cast<std::uint64_t>(popcount64(word));
+    std::uint64_t crossings = 1;
     while (!decoder.done()) {
       const std::uint32_t index = decoder.next(consecutive);
-      acc.transitions += consecutive && !adjacent.empty()
-                             ? adjacent[index]
-                             : static_cast<std::uint64_t>(
-                                   transitions(flit(prev), flit(index)));
-      ++acc.flits;
+      bt_sum += consecutive && !adjacent.empty()
+                    ? adjacent[index]
+                    : static_cast<std::uint64_t>(
+                          transitions(flit(prev), flit(index)));
+      ++crossings;
       prev = index;
     }
-    const std::span<const std::uint64_t> last = flit(prev);
-    for (std::size_t k = 0; k < wpf; ++k)
-      acc.prev.set_field(
-          static_cast<unsigned>(64 * k),
-          static_cast<unsigned>(
-              std::min<std::size_t>(64, order.payload_bits - 64 * k)),
-          last[k]);
-    bt.absorb(link, acc);
+    bt.add(link, crossings, bt_sum);
   }
   return bt;
 }

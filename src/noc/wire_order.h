@@ -7,10 +7,10 @@
 // link in the same (packet, flit) sequence — virtual-channel interleaving
 // included. A run's per-link bit transitions are therefore a function of
 // that sequence and the payloads alone. A timing run records the sequence
-// once (Network::record_wire_order; AnalyticalEngine::wire_order rebuilds
-// it from the crossings it sorted); score_wire_order then charges any
-// payload variant over it with LinkAccumulator's XOR/latch rule, without
-// simulating again.
+// once (Network::record_wire_order; AnalyticalEngine builds it from the
+// crossings it sorted); score_wire_order then charges any payload variant
+// over it with the wire rule BtRecorder::observe applies per flit, without
+// simulating again. The analytical engine takes its own BT this way.
 //
 // Flits are named by flat index: packets are numbered in injection order,
 // and flit f of packet p is packet_begin[p] + f. Each link's indices are
@@ -19,10 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "noc/bt_recorder.h"
-#include "noc/noc_config.h"
 
 namespace nocbt::noc {
 
@@ -41,7 +41,6 @@ struct WireOrder {
   /// the same stream. About 1.3 bytes per crossing on placed ResNet
   /// traffic, where most crossings interleave; at most 5.
   std::vector<std::uint8_t> bytes;
-  BtScopeConfig scope;        ///< which link classes total() counts
   unsigned payload_bits = 0;  ///< flit width of the timing run
 
   [[nodiscard]] std::size_t packets() const noexcept {
@@ -56,7 +55,12 @@ struct WireOrder {
 /// injection order; crossings are pushed per link in wire order.
 class WireOrderRecorder {
  public:
-  explicit WireOrderRecorder(std::size_t links) : links_(links) {}
+  /// Record over the link table `links` (link-id order) of a network with
+  /// `payload_bits`-wide links.
+  WireOrderRecorder(std::vector<LinkInfo> links, unsigned payload_bits)
+      : info_(std::move(links)),
+        payload_bits_(payload_bits),
+        links_(info_.size()) {}
 
   /// Announce the next packet (ids count up from 0). Throws
   /// std::length_error once the schedule outgrows 32-bit flit indices.
@@ -65,15 +69,16 @@ class WireOrderRecorder {
   /// Link `link` carried flit `flit` of packet `packet`.
   void push(std::int32_t link, std::uint64_t packet, std::uint32_t flit);
 
-  /// The recorded order, compacted to one byte array, over `bt`'s link
-  /// table with `cfg`'s scope and flit width.
-  [[nodiscard]] WireOrder finish(const BtRecorder& bt, const NocConfig& cfg);
+  /// The recorded order, compacted to one byte array.
+  [[nodiscard]] WireOrder finish();
 
  private:
   struct Link {
     std::vector<std::uint8_t> bytes;
     std::int64_t last = -1;  ///< flat index of the flit pushed last
   };
+  std::vector<LinkInfo> info_;
+  unsigned payload_bits_;
   std::vector<std::uint32_t> packet_begin_{0};
   std::vector<Link> links_;
 };
@@ -87,15 +92,15 @@ struct FlatPayloads {
   std::vector<std::uint32_t> packet_begin{0};
 };
 
-/// The BT recorder `payloads` would leave behind had they run through the
-/// network that recorded `order`: every link starts from the all-zero wire
-/// state and charges popcount(previous flit XOR flit) per recorded
-/// crossing. When links mostly carry flits back to back, each flit's
-/// transition against its flat predecessor is priced once per variant and
-/// such a crossing costs one lookup. Throws std::logic_error, naming the
-/// first packet whose flit count differs from the timing run's, when the
-/// payloads do not fit the recorded order, and std::invalid_argument on a
-/// flit width mismatch or a malformed order.
+/// The per-link counters `payloads` would leave in a BtRecorder had they
+/// run through the network that recorded `order`: every link starts from
+/// the all-zero wire state and charges popcount(previous flit XOR flit)
+/// per recorded crossing. When links mostly carry flits back to back, each
+/// flit's transition against its flat predecessor is priced once per
+/// variant and such a crossing costs one lookup. Throws std::logic_error,
+/// naming the first packet whose flit count differs from the timing
+/// run's, when the payloads do not fit the recorded order, and
+/// std::invalid_argument on a flit width mismatch or a malformed order.
 [[nodiscard]] BtRecorder score_wire_order(const WireOrder& order,
                                           const FlatPayloads& payloads);
 

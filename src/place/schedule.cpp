@@ -222,27 +222,4 @@ PlacedSchedule build_schedule(const Placement& placement,
   return ScheduleBuilder(placement, config).run();
 }
 
-noc::PacketTrace to_trace(const PlacedSchedule& schedule,
-                          const accel::FlitLayout& layout,
-                          const noc::MeshShape& mesh) {
-  noc::PacketTrace trace;
-  std::uint64_t id = 0;
-  for (const FlowPacket& pkt : schedule.packets) {
-    noc::TraceEvent e;
-    e.packet_id = id++;
-    e.src = pkt.src;
-    e.dst = pkt.dst;
-    e.num_flits = accel::flits_needed(
-        static_cast<std::uint32_t>(pkt.weights.size()), /*has_bias=*/false,
-        layout);
-    e.inject_cycle = pkt.cycle;
-    e.hops = static_cast<std::uint16_t>(mesh.manhattan(pkt.src, pkt.dst));
-    e.eject_cycle = pkt.cycle + e.hops + e.num_flits;
-    e.weights = pkt.weights;
-    e.inputs = pkt.inputs;
-    trace.record(e);
-  }
-  return trace;
-}
-
 }  // namespace nocbt::place

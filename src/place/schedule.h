@@ -26,7 +26,6 @@
 
 #include "accel/flitization.h"
 #include "accel/value_codec.h"
-#include "noc/trace.h"
 #include "place/placement.h"
 
 namespace nocbt::place {
@@ -71,12 +70,5 @@ struct PlacedSchedule {
 /// layout cannot hold a pair.
 [[nodiscard]] PlacedSchedule build_schedule(const Placement& placement,
                                             const TrafficConfig& config);
-
-/// Render a schedule as a payload-carrying PacketTrace (zero-load timing:
-/// eject = inject + hops + flits). Dump + replay of this trace reproduces
-/// the schedule's per-link bit transitions exactly.
-[[nodiscard]] noc::PacketTrace to_trace(const PlacedSchedule& schedule,
-                                        const accel::FlitLayout& layout,
-                                        const noc::MeshShape& mesh);
 
 }  // namespace nocbt::place

@@ -104,6 +104,15 @@ void ScenarioSpec::validate() const {
         "positive");
   if (max_cycles < 1)
     throw std::invalid_argument("ScenarioSpec: max_cycles must be >= 1");
+  // The flit geometry and the quantizer width shape model rows too.
+  if (format == DataFormat::kFixed8 &&
+      (fixed_bits < 2 || fixed_bits > value_bits(DataFormat::kFixed8)))
+    throw std::invalid_argument(
+        "ScenarioSpec: fixed_bits must be in [2, 8] so patterns fit the "
+        "fixed-8 flit slot");
+  if (values_per_flit < 2 || values_per_flit % 2 != 0)
+    throw std::invalid_argument(
+        "ScenarioSpec: values_per_flit must be even and >= 2");
   if (generator == GeneratorKind::kModel) {
     if (!engine_auto && engine == noc::SimEngine::kAnalytical)
       throw std::invalid_argument(
@@ -118,14 +127,6 @@ void ScenarioSpec::validate() const {
     return;
   }
   noc_config().validate();
-  if (format == DataFormat::kFixed8 &&
-      (fixed_bits < 2 || fixed_bits > value_bits(DataFormat::kFixed8)))
-    throw std::invalid_argument(
-        "ScenarioSpec: fixed_bits must be in [2, 8] so patterns fit the "
-        "fixed-8 flit slot");
-  if (values_per_flit < 2 || values_per_flit % 2 != 0)
-    throw std::invalid_argument(
-        "ScenarioSpec: values_per_flit must be even and >= 2");
   if (window < 1)
     throw std::invalid_argument("ScenarioSpec: window must be >= 1 pair");
   if (packets < 1)

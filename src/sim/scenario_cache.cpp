@@ -117,17 +117,15 @@ bool hash_file_bytes(StableHash& h, const std::string& path) {
 
 }  // namespace
 
-ContentKey scenario_content_key(const ScenarioSpec& spec,
-                                const std::string& hooks_id) {
-  StableHash h;
-  h.add("nocbt-scenario-v1");
+void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
+                      bool timing_only) {
   h.add(to_string(spec.generator));
   h.add(spec.rows);
   h.add(spec.cols);
   h.add(spec.num_vcs);
   h.add(spec.vc_buffer_depth);
   h.add(to_string(spec.format));
-  h.add(ordering::to_string(spec.mode));
+  if (!timing_only) h.add(ordering::to_string(spec.mode));
   h.add(static_cast<std::uint64_t>(spec.values_per_flit));
   h.add(static_cast<std::uint64_t>(spec.fixed_bits));
   h.add(spec.window);
@@ -142,16 +140,25 @@ ContentKey scenario_content_key(const ScenarioSpec& spec,
   h.add(spec.burst_gap);
   h.add(spec.num_mcs);
   h.add(spec.model_seed);
-  h.add(spec.input_seed);
+  if (!timing_only) h.add(spec.input_seed);
   h.add(spec.model);
   h.add(spec.placement);
   h.add(spec.tiles_per_layer);
-  h.add(spec.energy_per_transition_pj);
-  h.add(spec.frequency_mhz);
+  if (!timing_only) {
+    h.add(spec.energy_per_transition_pj);
+    h.add(spec.frequency_mhz);
+  }
   h.add(spec.seed);
   h.add(spec.max_cycles);
   h.add(std::string(noc::to_string(spec.engine)));
   h.add(spec.engine_auto);
+}
+
+ContentKey scenario_content_key(const ScenarioSpec& spec,
+                                const std::string& hooks_id) {
+  StableHash h;
+  h.add("nocbt-scenario-v1");
+  hash_spec_fields(h, spec, /*timing_only=*/false);
 
   ContentKey key;
   if (spec.generator == GeneratorKind::kModel) {
@@ -163,6 +170,10 @@ ContentKey scenario_content_key(const ScenarioSpec& spec,
     }
     h.add("hooks");
     h.add(hooks_id);
+    // Retires the keys of model rows stored before model runs honored
+    // fixed_bits and values_per_flit: those rows hold the defaults'
+    // numbers.
+    h.add("model-codec-geometry");
   }
   if (spec.generator == GeneratorKind::kReplay) {
     // The trace *bytes* are the workload; the path is just a location.

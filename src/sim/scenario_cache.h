@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "sim/campaign.h"
 
 namespace nocbt::sim {
@@ -41,6 +42,15 @@ struct ContentKey {
   std::string hash;     ///< 32 hex chars when cacheable
   std::string why_not;  ///< reason when not (unhashable hooks, missing trace)
 };
+
+/// Feed every ScenarioSpec field a row depends on, except its name and
+/// trace_path, into `h` in scenario_content_key's order. With
+/// `timing_only`, skip the four a row reads but its schedule and timing
+/// run never do — mode, input_seed, energy_per_transition_pj and
+/// frequency_mhz — for the ScheduleCache key: rows differing only in those
+/// share one materialization and one timing run.
+void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
+                      bool timing_only);
 
 /// Content address of one expanded scenario. `hooks_id` is the
 /// ModelHooks::id fingerprint — required (non-empty) for kModel scenarios,

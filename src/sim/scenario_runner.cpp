@@ -124,41 +124,13 @@ SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
 }
 
 /// Exact fingerprint of every spec field the synthetic generators and the
-/// timing run read (doubles by bit pattern, through StableHash). Mode,
-/// name and the energy knobs are deliberately absent: scenarios differing
-/// only in those produce byte-identical schedules and timing, and share
-/// one materialization and one NoC run.
+/// timing run read (doubles by bit pattern, through StableHash). The
+/// replay trace is keyed by its path here; the content key hashes its
+/// bytes.
 std::string schedule_key(const ScenarioSpec& spec) {
   StableHash h;
-  h.add(to_string(spec.generator));
-  h.add(spec.rows);
-  h.add(spec.cols);
-  h.add(to_string(spec.format));
-  h.add(spec.fixed_bits);
-  h.add(spec.values_per_flit);
-  h.add(spec.window);
-  h.add(spec.packets);
-  h.add(spec.injection_rate);
-  h.add(to_string(spec.value_dist));
-  h.add(spec.dist_a);
-  h.add(spec.dist_b);
-  h.add(spec.hotspot_fraction);
-  h.add(spec.hotspot_node);
-  h.add(spec.burst_len);
-  h.add(spec.burst_gap);
+  hash_spec_fields(h, spec, /*timing_only=*/true);
   h.add(spec.trace_path);
-  h.add(spec.num_mcs);
-  h.add(spec.model_seed);
-  h.add(spec.model);
-  h.add(spec.placement);
-  h.add(spec.tiles_per_layer);
-  h.add(spec.seed);
-  // The timing run's knobs.
-  h.add(spec.num_vcs);
-  h.add(spec.vc_buffer_depth);
-  h.add(std::string(noc::to_string(spec.engine)));
-  h.add(spec.engine_auto);
-  h.add(spec.max_cycles);
   return h.hex();
 }
 
@@ -239,7 +211,8 @@ bool run_analytical_timing(const ScenarioSpec& spec,
     why_not = eng.contention_detail();
     return false;
   }
-  out.bt = eng.bt().total();
+  const noc::BtRecorder bt = eng.bt();
+  out.bt = bt.total();
   out.cycles = eng.cycle();
   out.packets = eng.stats().packets_delivered;
   out.flits = eng.stats().flits_delivered;
@@ -250,7 +223,7 @@ bool run_analytical_timing(const ScenarioSpec& spec,
   out.avg_hops = eng.stats().packet_hops.mean();
   out.drained = true;
   out.sim = eng.stats().sim;
-  out.links = eng.bt().snapshot();
+  out.links = bt.snapshot();
   order = eng.wire_order();
   out.wall_ms = timer.millis();
   return true;
@@ -300,13 +273,13 @@ RunOutcome run_model_variant(const ScenarioSpec& spec,
   const noc::WallTimer timer;
   accel::AccelConfig cfg = accel::AccelConfig::defaults(
       spec.format, mode, spec.rows, spec.cols, spec.num_mcs);
-  cfg.noc.num_vcs = spec.num_vcs;
-  cfg.noc.vc_buffer_depth = spec.vc_buffer_depth;
+  cfg.fixed_bits = spec.fixed_bits;
+  cfg.noc = spec.noc_config();  // mesh, VCs, values_per_flit slots
+  cfg.noc.allow_self_traffic = true;  // MCs self-deliver result packets
   // Model workloads inject reactively and always need a cycle engine
   // (validate() rejects forcing analytical on them).
-  cfg.noc.engine = spec.engine == noc::SimEngine::kAnalytical
-                       ? noc::SimEngine::kActiveSet
-                       : spec.engine;
+  if (cfg.noc.engine == noc::SimEngine::kAnalytical)
+    cfg.noc.engine = noc::SimEngine::kActiveSet;
   dnn::Sequential model = hooks.model(spec.model_seed);
   accel::NocDnaPlatform platform(cfg, model);
   accel::InferenceResult result = platform.run(hooks.input(spec.input_seed));

@@ -232,7 +232,7 @@ TEST(Platform, ConfigValidation) {
 
 TEST(Platform, FinalDrainBudgetIsConfigurableAndThrowsOnNonDrain) {
   // The last layer's result credits are still in flight when the layer
-  // loop exits; a 1-cycle drain budget cannot absorb them, and that must
+  // loop exits; a 1-cycle drain budget cannot deliver them, and that must
   // be a loud error (the old behavior silently discarded the returned
   // bool), while the default budget drains the same run cleanly.
   dnn::Sequential model = make_tiny_model(17);

@@ -118,7 +118,7 @@ TEST(EnergyModel, MeasureMatchesHandComputedPerLinkSums) {
   //   injection:    0x00 -> 0xFF -> 0x00      = 8 + 8 = 16 BT, 3 flits
   //   inter-router: 0x00 -> 0x0F              = 4 BT, 2 flits
   //   ejection:     0xAA                      = 4 BT (from idle 0), 1 flit
-  noc::BtRecorder recorder(noc::BtScopeConfig{}, 8);
+  noc::BtRecorder recorder(8);
   const auto inj = recorder.register_link(
       noc::LinkInfo{noc::LinkKind::kInjection, 0, 1, -1});
   const auto mid = recorder.register_link(
@@ -140,45 +140,44 @@ TEST(EnergyModel, MeasureMatchesHandComputedPerLinkSums) {
   recorder.observe(ej, pattern(0xAA));
 
   const EnergyModel model(EnergyModelConfig{0.5, 100.0});  // easy arithmetic
-  const EnergyReport report = model.measure(recorder, 10);
 
-  // Default scope counts inter-router + ejection: 4 + 4 = 8 transitions.
-  EXPECT_EQ(report.transitions, 8u);
-  EXPECT_EQ(report.cycles, 10u);
-  EXPECT_DOUBLE_EQ(report.energy_pj, 8 * 0.5);
+  // Fig. 8's sum counts inter-router + ejection: 4 + 4 = 8 transitions.
+  EXPECT_EQ(recorder.total(), 8u);
+  EXPECT_DOUBLE_EQ(model.energy_pj(recorder.total()), 8 * 0.5);
   // 4 pJ over 10 cycles at 100 MHz: 4e-12 J / 1e-7 s = 4e-5 W = 0.04 mW.
-  EXPECT_NEAR(report.power_mw, 0.04, 1e-12);
+  EXPECT_NEAR(model.power_mw(recorder.total(), 10), 0.04, 1e-12);
 
-  ASSERT_EQ(report.by_kind.size(), 3u);
-  EXPECT_EQ(report.by_kind[0].kind, noc::LinkKind::kInjection);
-  EXPECT_EQ(report.by_kind[0].transitions, 16u);
-  EXPECT_EQ(report.by_kind[0].flits, 3u);
-  EXPECT_DOUBLE_EQ(report.by_kind[0].energy_pj, 16 * 0.5);
-  EXPECT_EQ(report.by_kind[1].transitions, 4u);
-  EXPECT_EQ(report.by_kind[2].transitions, 4u);
+  EXPECT_EQ(recorder.by_kind(noc::LinkKind::kInjection), 16u);
+  EXPECT_DOUBLE_EQ(model.energy_pj(recorder.by_kind(noc::LinkKind::kInjection)),
+                   16 * 0.5);
+  EXPECT_EQ(recorder.by_kind(noc::LinkKind::kInterRouter), 4u);
+  EXPECT_EQ(recorder.by_kind(noc::LinkKind::kEjection), 4u);
 
-  ASSERT_EQ(report.links.size(), 3u);
-  EXPECT_EQ(report.links[0].link_id, inj);
-  EXPECT_EQ(report.links[0].transitions, 16u);
-  EXPECT_EQ(report.links[0].flits, 3u);
-  EXPECT_EQ(report.links[1].link_id, mid);
-  EXPECT_EQ(report.links[1].transitions, 4u);
-  EXPECT_EQ(report.links[1].info.src_port, 3);
-  EXPECT_EQ(report.links[2].link_id, ej);
-  EXPECT_EQ(report.links[2].transitions, 4u);
-  EXPECT_EQ(report.links[2].flits, 1u);
+  const std::vector<LinkEnergyRow> links = model.annotate(recorder.snapshot());
+  ASSERT_EQ(links.size(), 3u);
+  EXPECT_EQ(links[0].link_id, inj);
+  EXPECT_EQ(links[0].transitions, 16u);
+  EXPECT_EQ(links[0].flits, 3u);
+  EXPECT_EQ(links[1].link_id, mid);
+  EXPECT_EQ(links[1].transitions, 4u);
+  EXPECT_EQ(links[1].flits, 2u);
+  EXPECT_EQ(links[1].info.src_port, 3);
+  EXPECT_EQ(links[2].link_id, ej);
+  EXPECT_EQ(links[2].transitions, 4u);
+  EXPECT_EQ(links[2].flits, 1u);
 
-  // Per-link energies sum to the all-links energy; the in-scope subset
-  // (inter-router + ejection) sums to the report total.
+  // Per-link energies sum to the all-links energy; the router output
+  // ports (inter-router + ejection) sum to the energy of total().
   double all_links = 0.0;
-  double in_scope = 0.0;
-  for (const LinkEnergyRow& link : report.links) {
+  double router_outputs = 0.0;
+  for (const LinkEnergyRow& link : links) {
     all_links += link.energy_pj;
     if (link.info.kind != noc::LinkKind::kInjection)
-      in_scope += link.energy_pj;
+      router_outputs += link.energy_pj;
   }
+  EXPECT_DOUBLE_EQ(all_links, model.energy_pj(recorder.total_all_links()));
   EXPECT_DOUBLE_EQ(all_links, (16 + 4 + 4) * 0.5);
-  EXPECT_DOUBLE_EQ(in_scope, report.energy_pj);
+  EXPECT_DOUBLE_EQ(router_outputs, model.energy_pj(recorder.total()));
 }
 
 TEST(EnergyModel, AnnotateAttachesEnergyToSnapshots) {
@@ -197,7 +196,7 @@ TEST(EnergyModel, AnnotateAttachesEnergyToSnapshots) {
 }
 
 TEST(EnergyModel, SnapshotOrderAndContentMatchAccessors) {
-  noc::BtRecorder recorder(noc::BtScopeConfig{}, 4);
+  noc::BtRecorder recorder(4);
   const auto a = recorder.register_link(
       noc::LinkInfo{noc::LinkKind::kInterRouter, 0, 1, 1});
   const auto b = recorder.register_link(
@@ -208,7 +207,9 @@ TEST(EnergyModel, SnapshotOrderAndContentMatchAccessors) {
   const auto snap = recorder.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].link_id, a);
-  EXPECT_EQ(snap[0].transitions, recorder.link_bt(a));
+  EXPECT_EQ(snap[0].info,
+            (noc::LinkInfo{noc::LinkKind::kInterRouter, 0, 1, 1}));
+  EXPECT_EQ(snap[0].transitions, 0u);
   EXPECT_EQ(snap[1].link_id, b);
   EXPECT_EQ(snap[1].transitions, 1u);
   EXPECT_EQ(snap[1].flits, 1u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/bitvec.h"
 #include "noc/bt_recorder.h"
 #include "noc/network.h"
@@ -16,7 +19,7 @@ BitVec pattern64(std::uint64_t bits) {
 }
 
 TEST(BtRecorder, CountsXorPopcountAgainstPreviousFlit) {
-  BtRecorder rec(BtScopeConfig{}, 64);
+  BtRecorder rec(64);
   const auto link = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
   rec.observe(link, pattern64(0x0));  // wires start at 0: no transitions
   EXPECT_EQ(rec.total(), 0u);
@@ -29,61 +32,56 @@ TEST(BtRecorder, CountsXorPopcountAgainstPreviousFlit) {
 }
 
 TEST(BtRecorder, FirstFlitCountsFromZeroWireState) {
-  BtRecorder rec(BtScopeConfig{}, 64);
+  BtRecorder rec(64);
   const auto link = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
   rec.observe(link, pattern64(0xFFFF));
   EXPECT_EQ(rec.total(), 16u);
 }
 
 TEST(BtRecorder, LinksAreIndependent) {
-  BtRecorder rec(BtScopeConfig{}, 64);
+  BtRecorder rec(64);
   const auto a = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
   const auto b = rec.register_link({LinkKind::kInterRouter, 1, 2, kEast});
   rec.observe(a, pattern64(0xFF));
   rec.observe(b, pattern64(0x0F));
-  EXPECT_EQ(rec.link_bt(a), 8u);
-  EXPECT_EQ(rec.link_bt(b), 4u);
+  const std::vector<LinkObservation> links = rec.snapshot();
+  EXPECT_EQ(links[a].transitions, 8u);
+  EXPECT_EQ(links[b].transitions, 4u);
   EXPECT_EQ(rec.total(), 12u);
-  EXPECT_EQ(rec.link_flits(a), 1u);
-  EXPECT_EQ(rec.link_flits(b), 1u);
+  EXPECT_EQ(links[a].flits, 1u);
+  EXPECT_EQ(links[b].flits, 1u);
 }
 
 TEST(BtRecorder, ScopeFiltersKinds) {
-  BtScopeConfig scope;
-  scope.count_injection = false;
-  scope.count_inter_router = true;
-  scope.count_ejection = false;
-  BtRecorder rec(scope, 64);
+  // total() is Fig. 8's sum over router output ports: inter-router plus
+  // ejection links, never injection links.
+  BtRecorder rec(64);
   const auto inj = rec.register_link({LinkKind::kInjection, 0, 0, -1});
   const auto mid = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
   const auto ej = rec.register_link({LinkKind::kEjection, 1, 1, kLocal});
   rec.observe(inj, pattern64(0xF));
   rec.observe(mid, pattern64(0xFF));
   rec.observe(ej, pattern64(0xFFF));
-  EXPECT_EQ(rec.total(), 8u);
+  EXPECT_EQ(rec.total(), 8u + 12u);
   EXPECT_EQ(rec.total_all_links(), 4u + 8u + 12u);
   EXPECT_EQ(rec.by_kind(LinkKind::kInjection), 4u);
+  EXPECT_EQ(rec.by_kind(LinkKind::kInterRouter), 8u);
   EXPECT_EQ(rec.by_kind(LinkKind::kEjection), 12u);
 }
 
-TEST(BtRecorder, BtPerFlit) {
-  BtRecorder rec(BtScopeConfig{}, 64);
-  const auto link = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
-  rec.observe(link, pattern64(0xFF));   // 8
-  rec.observe(link, pattern64(0x00));   // 8
-  EXPECT_DOUBLE_EQ(rec.bt_per_flit(), 8.0);
-}
-
-TEST(BtRecorder, ResetClearsStateAndWireRegisters) {
-  BtRecorder rec(BtScopeConfig{}, 64);
-  const auto link = rec.register_link({LinkKind::kInterRouter, 0, 1, kEast});
-  rec.observe(link, pattern64(0xFF));
-  rec.reset();
-  EXPECT_EQ(rec.total(), 0u);
-  EXPECT_EQ(rec.flits_in_scope(), 0u);
-  // After reset the wire state is zero again, so the same flit re-counts.
-  rec.observe(link, pattern64(0xFF));
-  EXPECT_EQ(rec.total(), 8u);
+TEST(BtRecorder, AddCountsTotalsWithoutTouchingTheWire) {
+  BtRecorder rec(64);
+  const auto inj = rec.register_link({LinkKind::kInjection, 0, 0, -1});
+  const auto ej = rec.register_link({LinkKind::kEjection, 1, 1, kLocal});
+  rec.add(ej, 5, 30);
+  rec.add(inj, 2, 7);
+  EXPECT_EQ(rec.total(), 30u);
+  EXPECT_EQ(rec.total_all_links(), 37u);
+  EXPECT_EQ(rec.snapshot()[static_cast<std::size_t>(ej)].flits, 5u);
+  // The wire register still holds the all-zero reset state.
+  rec.observe(ej, pattern64(0xFF));
+  EXPECT_EQ(rec.total(), 38u);
+  EXPECT_EQ(rec.snapshot()[static_cast<std::size_t>(ej)].flits, 6u);
 }
 
 TEST(BtRecorder, NetworkAccumulatesBtOnTraffic) {
@@ -100,11 +98,15 @@ TEST(BtRecorder, NetworkAccumulatesBtOnTraffic) {
   std::vector<BitVec> payloads(2, pattern64(0xFFFF));
   net.inject(0, 3, payloads);
   ASSERT_TRUE(net.run_until_idle(10'000));
-  // Route 0 -> 3 in a 2x2 mesh: 2 inter-router links + 1 ejection link in
-  // scope (default scope excludes injection).
+  // Route 0 -> 3 in a 2x2 mesh: 2 inter-router links + 1 ejection link
+  // count toward total(); the injection link does not.
   EXPECT_EQ(net.bt().total(), 3u * 16u);
-  EXPECT_EQ(net.bt().flits_by_kind(LinkKind::kInterRouter), 4u);
-  EXPECT_EQ(net.bt().flits_by_kind(LinkKind::kEjection), 2u);
+  std::uint64_t flits[3] = {0, 0, 0};
+  for (const LinkObservation& link : net.bt().snapshot())
+    flits[static_cast<std::size_t>(link.info.kind)] += link.flits;
+  EXPECT_EQ(flits[static_cast<std::size_t>(LinkKind::kInjection)], 2u);
+  EXPECT_EQ(flits[static_cast<std::size_t>(LinkKind::kInterRouter)], 4u);
+  EXPECT_EQ(flits[static_cast<std::size_t>(LinkKind::kEjection)], 2u);
 }
 
 TEST(BtRecorder, AlternatingPayloadsMaximizeBt) {
@@ -112,7 +114,6 @@ TEST(BtRecorder, AlternatingPayloadsMaximizeBt) {
   cfg.rows = 1;
   cfg.cols = 2;
   cfg.flit_payload_bits = 64;
-  cfg.bt_scope.count_ejection = false;  // isolate the single inter-router link
   Network net(cfg);
   net.set_sink(1, [](Packet&&, std::uint64_t) {});
 
@@ -121,9 +122,9 @@ TEST(BtRecorder, AlternatingPayloadsMaximizeBt) {
     payloads.push_back(pattern64(i % 2 ? ~0ull : 0ull));
   net.inject(0, 1, payloads);
   ASSERT_TRUE(net.run_until_idle(10'000));
-  // First flit: 0 transitions (wire already 0); each subsequent flit flips
-  // all 64 wires: 7 * 64.
-  EXPECT_EQ(net.bt().total(), 7u * 64u);
+  // On the single inter-router link: the first flit costs 0 transitions
+  // (wire already 0); each subsequent flit flips all 64 wires: 7 * 64.
+  EXPECT_EQ(net.bt().by_kind(LinkKind::kInterRouter), 7u * 64u);
 }
 
 TEST(BtRecorder, LinkCountFor2x2Mesh) {
@@ -133,7 +134,7 @@ TEST(BtRecorder, LinkCountFor2x2Mesh) {
   cfg.flit_payload_bits = 64;
   Network net(cfg);
   // 2x2 mesh: 8 directed inter-router links + 4 injection + 4 ejection.
-  EXPECT_EQ(net.bt().link_count(), 16u);
+  EXPECT_EQ(net.bt().snapshot().size(), 16u);
 }
 
 }  // namespace

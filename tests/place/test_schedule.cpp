@@ -1,6 +1,7 @@
-// Tests for build_schedule / to_trace: hand-computed traffic accounting,
-// per-source serialization, on-PE locality, payload derivation from real
-// model weights, and the payload-carrying trace round trip.
+// Tests for build_schedule: hand-computed traffic accounting, per-source
+// serialization, on-PE locality and payload derivation from real model
+// weights. The payload-carrying trace round trip is tested on
+// sim::record_schedule (tests/sim/test_placement_traffic.cpp).
 
 #include <gtest/gtest.h>
 
@@ -164,52 +165,6 @@ TEST(Schedule, CoLocatedProducerConsumerFlowsStayOnThePe) {
   for (const FlowPacket& pkt : s.packets) {
     EXPECT_TRUE(pkt.src == 0 || pkt.dst == 0)
         << "unexpected PE-to-PE packet " << pkt.src << "->" << pkt.dst;
-  }
-}
-
-TEST(Schedule, ToTraceRoundTripsThroughCsvWithPayloads) {
-  Sequential model;
-  model.emplace<Conv2d>(1, 4, 3, 1, 1);
-  model.emplace<Conv2d>(4, 6, 3, 1, 1);
-  const noc::MeshShape shape(4, 4);
-  const accel::NodeRoles roles = accel::assign_roles(shape, 2);
-  const Placement p = place_model(model, Shape{1, 1, 4, 4}, shape, roles,
-                                  policies().get("rowmajor"), 3);
-  TrafficConfig cfg = counting_config();
-  cfg.pairs_per_packet = 8;
-  const PlacedSchedule s = build_schedule(p, cfg);
-
-  const noc::PacketTrace trace = to_trace(s, cfg.layout, shape);
-  ASSERT_EQ(trace.size(), s.packets.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const noc::TraceEvent& e = trace.events()[i];
-    const FlowPacket& pkt = s.packets[i];
-    EXPECT_TRUE(e.has_payload());
-    EXPECT_EQ(e.inject_cycle, pkt.cycle);
-    EXPECT_EQ(e.num_flits,
-              accel::flits_needed(
-                  static_cast<std::uint32_t>(pkt.weights.size()),
-                  /*has_bias=*/false, cfg.layout));
-    EXPECT_EQ(e.hops, shape.manhattan(pkt.src, pkt.dst));
-    EXPECT_EQ(e.eject_cycle, e.inject_cycle + e.hops + e.num_flits);
-  }
-
-  const std::string path = testing::TempDir() + "nocbt_placed_schedule.csv";
-  ASSERT_EQ(trace.dump_csv(path), trace.size());
-  const noc::PacketTrace loaded = noc::PacketTrace::load_csv(path);
-  ASSERT_EQ(loaded.size(), trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const noc::TraceEvent& a = trace.events()[i];
-    const noc::TraceEvent& b = loaded.events()[i];
-    EXPECT_EQ(a.packet_id, b.packet_id);
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.dst, b.dst);
-    EXPECT_EQ(a.num_flits, b.num_flits);
-    EXPECT_EQ(a.inject_cycle, b.inject_cycle);
-    EXPECT_EQ(a.eject_cycle, b.eject_cycle);
-    EXPECT_EQ(a.hops, b.hops);
-    EXPECT_EQ(a.weights, b.weights);
-    EXPECT_EQ(a.inputs, b.inputs);
   }
 }
 

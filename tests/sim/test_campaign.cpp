@@ -585,6 +585,29 @@ TEST(ScheduleCache, KeysEveryKnobTheTimingRunReads) {
   EXPECT_EQ(cache.get(base).get(), cache.get(shared).get());
 }
 
+TEST(ScheduleCache, RowOnlyFieldsShareOneScheduleAndOneTimingRun) {
+  // Mode, input seed and the two energy knobs change a row, not its
+  // schedule or its timing run.
+  const ScenarioSpec base = uniform_4x4(0.5);
+  std::vector<ScenarioSpec> rows(5, base);
+  rows[1].mode = ordering::OrderingMode::kChain;
+  rows[2].input_seed = 99;
+  rows[3].energy_per_transition_pj = 0.532;
+  rows[4].frequency_mhz = 250.0;
+  ScheduleCache cache(rows.size());
+  const SharedSchedule* shared = nullptr;
+  std::size_t timing_runs = 0;
+  for (const ScenarioSpec& row : rows) {
+    const SharedSchedulePtr schedule = cache.get(row);
+    if (!shared) shared = schedule.get();
+    EXPECT_EQ(schedule.get(), shared);
+    bool built = false;
+    ASSERT_FALSE(schedule->timing(row, &built).error);
+    if (built) ++timing_runs;
+  }
+  EXPECT_EQ(timing_runs, 1u);
+}
+
 TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
   // A shard's slice: two of a grid point's three mode rows, plus a row of
   // another point. One row looks the schedule up; the other was served
@@ -657,6 +680,47 @@ TEST(Campaign, ModelRowsStillRunTwice) {
   for (const ScenarioResult& row : result.rows)
     ASSERT_TRUE(row.error.empty()) << row.error;
   EXPECT_EQ(result.stats.cycle_runs, 3u);  // O0 once, O2 twice
+}
+
+TEST(Campaign, ModelRowsHonorFixedBitsAndSlots) {
+  // Both knobs are in a model row's content key, so each must change the
+  // platform the row runs: the codec's quantizer width and the flit's
+  // value slots.
+  Options opts;
+  CampaignSpec camp = campaign_from_options(opts);
+  camp.generators = {GeneratorKind::kModel};
+  camp.formats = {DataFormat::kFixed8};
+  camp.modes = {ordering::OrderingMode::kBaseline};
+  camp.meshes = {MeshSpec{4, 4, 2}};
+  const auto row = [&camp](unsigned fixed_bits, unsigned slots) {
+    CampaignSpec c = camp;
+    c.base.fixed_bits = fixed_bits;
+    c.base.values_per_flit = slots;
+    const CampaignResult result = run_campaign(c);
+    EXPECT_EQ(result.rows.size(), 1u);
+    EXPECT_TRUE(result.rows.at(0).error.empty()) << result.rows.at(0).error;
+    return result.rows.at(0);
+  };
+  const ScenarioResult plain = row(8, 16);
+  const ScenarioResult narrow = row(4, 16);
+  const ScenarioResult half = row(8, 8);
+  EXPECT_NE(narrow.bt_baseline, plain.bt_baseline);
+  EXPECT_EQ(narrow.flits, plain.flits);
+  EXPECT_NE(half.bt_baseline, plain.bt_baseline);
+  EXPECT_GT(half.flits, plain.flits);
+}
+
+TEST(Campaign, ModelSpecRejectsBadCodecGeometryUpFront) {
+  ScenarioSpec spec;
+  spec.generator = GeneratorKind::kModel;
+  spec.format = DataFormat::kFixed8;
+  EXPECT_NO_THROW(spec.validate());
+  ScenarioSpec wide = spec;
+  wide.fixed_bits = 9;
+  EXPECT_THROW(wide.validate(), std::invalid_argument);
+  ScenarioSpec odd = spec;
+  odd.values_per_flit = 7;
+  EXPECT_THROW(odd.validate(), std::invalid_argument);
 }
 
 }  // namespace

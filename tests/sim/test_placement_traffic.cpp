@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
+#include "accel/flitization.h"
+#include "noc/routing.h"
 #include "noc/trace.h"
 #include "sim/campaign.h"
 #include "sim/scenario_runner.h"
@@ -86,6 +89,9 @@ TEST(PlacementTraffic, RecordedScheduleIsDeterministicAndCarriesPayloads) {
   const noc::PacketTrace b = record_schedule(spec);
   ASSERT_GT(a.size(), 0u);
   ASSERT_EQ(a.size(), b.size());
+  const accel::FlitLayout layout{spec.values_per_flit,
+                                 value_bits(spec.format)};
+  const noc::MeshShape mesh(spec.rows, spec.cols);
   for (std::size_t i = 0; i < a.size(); ++i) {
     const noc::TraceEvent& ea = a.events()[i];
     const noc::TraceEvent& eb = b.events()[i];
@@ -96,6 +102,32 @@ TEST(PlacementTraffic, RecordedScheduleIsDeterministicAndCarriesPayloads) {
     EXPECT_EQ(ea.num_flits, eb.num_flits);
     EXPECT_EQ(ea.weights, eb.weights);
     EXPECT_EQ(ea.inputs, eb.inputs);
+    // Zero-load timing: eject = inject + hops + flits.
+    EXPECT_EQ(ea.num_flits,
+              accel::flits_needed(static_cast<std::uint32_t>(ea.weights.size()),
+                                  /*has_bias=*/false, layout))
+        << i;
+    EXPECT_EQ(ea.hops, mesh.manhattan(ea.src, ea.dst)) << i;
+    EXPECT_EQ(ea.eject_cycle, ea.inject_cycle + ea.hops + ea.num_flits) << i;
+  }
+
+  // The payload columns survive a CSV round trip.
+  const std::string path = testing::TempDir() + "nocbt_placed_schedule.csv";
+  ASSERT_EQ(a.dump_csv(path), a.size());
+  const noc::PacketTrace loaded = noc::PacketTrace::load_csv(path);
+  ASSERT_EQ(loaded.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const noc::TraceEvent& ea = a.events()[i];
+    const noc::TraceEvent& el = loaded.events()[i];
+    EXPECT_EQ(ea.packet_id, el.packet_id);
+    EXPECT_EQ(ea.src, el.src);
+    EXPECT_EQ(ea.dst, el.dst);
+    EXPECT_EQ(ea.num_flits, el.num_flits);
+    EXPECT_EQ(ea.inject_cycle, el.inject_cycle);
+    EXPECT_EQ(ea.eject_cycle, el.eject_cycle);
+    EXPECT_EQ(ea.hops, el.hops);
+    EXPECT_EQ(ea.weights, el.weights);
+    EXPECT_EQ(ea.inputs, el.inputs);
   }
 }
 

@@ -115,6 +115,19 @@ TEST(ContentKey, MeasurementShapingFieldsChangeTheHash) {
             base);
 }
 
+TEST(ContentKey, PersistedSyntheticKeysHoldAndOldModelKeysRetire) {
+  // Stores written by earlier builds are addressed by these digests, so a
+  // synthetic spec's key must not move. Model rows written before they
+  // honored fixed_bits and values_per_flit hold the defaults' numbers, so
+  // the model key must no longer be the one they were stored under.
+  ScenarioSpec spec;
+  EXPECT_EQ(scenario_content_key(spec, "").hash,
+            "ff63d4b605d41d523cf1ab312aaecf15");
+  spec.generator = GeneratorKind::kModel;
+  EXPECT_NE(scenario_content_key(spec, "builtin-lenet-v1").hash,
+            "d1ce5b33aeac3ae2dbc160874d14cf09");
+}
+
 TEST(ContentKey, ModelScenariosNeedAHooksFingerprint) {
   ScenarioSpec spec = synthetic_spec();
   spec.generator = GeneratorKind::kModel;
