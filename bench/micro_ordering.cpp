@@ -5,11 +5,11 @@
 //
 // Times the word-packed BT-count kernel against the retained naive
 // per-bit reference, every registered kernel tier (single-call and
-// batched), and every registered ordering strategy at the given window
-// size, then writes one JSON document (via common/json_writer) that CI
-// gates on and uploads as an artifact, so future changes have a regression
-// trajectory to compare against. No google-benchmark dependency, so it is
-// always built.
+// batched BT, and the greedy chain), and every registered ordering
+// strategy at the given window size, then writes one JSON document (via
+// common/json_writer) that CI gates on and uploads as an artifact, so
+// future changes have a regression trajectory to compare against. No
+// google-benchmark dependency, so it is always built.
 
 #include <chrono>
 #include <cstdio>
@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
+#include "ordering/greedy_chain.h"
 #include "ordering/strategy.h"
 
 using namespace nocbt;
@@ -183,6 +184,69 @@ int run_json_bench(const std::string& path, std::size_t window_values) {
     if (!tiers_identical) {
       std::fprintf(stderr,
                    "micro_ordering: kernel tiers disagree on the BT sum\n");
+      return 1;
+    }
+  }
+
+  // Chain tiers: every registered tier's greedy_chain entry timed on the
+  // run's windows in both formats. chain_tier_best_speedup is the fastest
+  // tier's throughput over the scalar tier's, in the format where that
+  // ratio is lowest (the tier rule CI gates); chain_tiers_identical
+  // asserts every tier returned the naive chain's permutation on every
+  // window.
+  json.key("chain_tiers").begin_array();
+  {
+    double worst_chain_speedup = -1.0;
+    bool chains_identical = true;
+    for (const DataFormat format :
+         {DataFormat::kFixed8, DataFormat::kFloat32}) {
+      const auto patterns = random_patterns(window_values * kNumWindows,
+                                            value_bits(format), 19);
+      const auto window_of = [&](std::size_t w) {
+        return std::span<const std::uint32_t>(patterns)
+            .subspan(w * window_values, window_values);
+      };
+      std::vector<std::vector<std::uint32_t>> reference;
+      reference.reserve(kNumWindows);
+      for (std::size_t w = 0; w < kNumWindows; ++w)
+        reference.push_back(ordering::greedy_min_xor_chain(window_of(w), format));
+      double scalar = 0.0;
+      double best = 0.0;
+      for (const ordering::BtKernelBackend* backend :
+           ordering::kernel_backends().all()) {
+        json.begin_object()
+            .key("name").value(backend->name())
+            .key("format").value(to_string(format))
+            .key("available").value(backend->available());
+        if (!backend->available()) {
+          json.end_object();
+          continue;
+        }
+        std::vector<std::uint32_t> perm(window_values);
+        for (std::size_t w = 0; w < kNumWindows; ++w) {
+          backend->greedy_chain(window_of(w), format, perm);
+          if (perm != reference[w]) chains_identical = false;
+        }
+        const Measurement m = measure_windows(
+            window_values, kNumWindows, [&](std::size_t w) {
+              backend->greedy_chain(window_of(w), format, perm);
+              return static_cast<std::uint64_t>(perm.back());
+            });
+        if (backend->name() == "scalar") scalar = m.mvalues_per_s;
+        if (m.mvalues_per_s > best) best = m.mvalues_per_s;
+        json.key("mvalues_per_s").value(m.mvalues_per_s).end_object();
+      }
+      const double speedup = scalar > 0.0 ? best / scalar : 0.0;
+      if (worst_chain_speedup < 0.0 || speedup < worst_chain_speedup)
+        worst_chain_speedup = speedup;
+    }
+    json.end_array();
+    json.key("chain_tier_best_speedup").value(worst_chain_speedup);
+    json.key("chain_tiers_identical").value(chains_identical);
+    if (!chains_identical) {
+      std::fprintf(stderr,
+                   "micro_ordering: a kernel tier's chain differs from the "
+                   "naive chain\n");
       return 1;
     }
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/bitops.h"
 #include "ordering/bt_kernels.h"
@@ -27,7 +28,8 @@ class ScalarBackend final : public BtKernelBackend {
  public:
   std::string_view name() const noexcept override { return "scalar"; }
   std::string_view description() const noexcept override {
-    return "PR-3 word-packed uint64 shift-XOR-popcount, one window per call";
+    return "word-packed uint64 shift-XOR-popcount, one window per call; "
+           "chain scan over a compact list of the values not yet chained";
   }
   int priority() const noexcept override { return 0; }
 
@@ -108,6 +110,15 @@ void BtKernelBackend::check_batch_args(std::size_t pattern_count,
         std::to_string(windows) + " windows");
 }
 
+void BtKernelBackend::check_chain_args(std::size_t window_size,
+                                       std::size_t perm_size) {
+  if (perm_size != window_size)
+    throw std::invalid_argument(
+        "greedy_chain: perm holds " + std::to_string(perm_size) +
+        " slots but the window holds " + std::to_string(window_size) +
+        " values");
+}
+
 void BtKernelBackend::sequence_bt_batch(
     std::span<const std::uint32_t> patterns, DataFormat format,
     std::size_t window_values, std::span<std::uint64_t> out) const {
@@ -116,6 +127,53 @@ void BtKernelBackend::sequence_bt_batch(
     const std::size_t start = w * window_values;
     const std::size_t len = std::min(window_values, patterns.size() - start);
     out[w] = sequence_bt(patterns.subspan(start, len), format);
+  }
+}
+
+/// The scalar chain: the values not yet chained stay masked and in arrival
+/// order, so each scan's first strict minimum is the lowest-index one; the
+/// winner is erased, never swap-removed, to keep that order. Distances are
+/// computed as the scan reads them: the chain reads each pair at most once.
+void BtKernelBackend::greedy_chain(std::span<const std::uint32_t> window,
+                                   DataFormat format,
+                                   std::span<std::uint32_t> perm) const {
+  check_chain_args(window.size(), perm.size());
+  const std::size_t n = window.size();
+  if (n == 0) return;
+
+  std::size_t seed = 0;
+  for (std::size_t i = 1; i < n; ++i)
+    if (pattern_popcount(window[i], format) >
+        pattern_popcount(window[seed], format))
+      seed = i;
+
+  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
+  struct Pending {
+    std::uint32_t value;  ///< masked pattern
+    std::uint32_t index;  ///< position in the window
+  };
+  std::vector<Pending> rest;
+  rest.reserve(n - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    if (i != seed)
+      rest.push_back({window[i] & mask, static_cast<std::uint32_t>(i)});
+
+  std::size_t emitted = 0;
+  perm[emitted++] = static_cast<std::uint32_t>(seed);
+  std::uint32_t current = window[seed] & mask;
+  while (!rest.empty()) {
+    std::size_t best = 0;
+    int best_dist = popcount32(current ^ rest[0].value);
+    for (std::size_t k = 1; k < rest.size(); ++k) {
+      const int dist = popcount32(current ^ rest[k].value);
+      if (dist < best_dist) {
+        best = k;
+        best_dist = dist;
+      }
+    }
+    perm[emitted++] = rest[best].index;
+    current = rest[best].value;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
   }
 }
 

@@ -1,25 +1,31 @@
 #pragma once
 // Vectorized bit-transition kernel tier with runtime dispatch.
 //
-// The ordering hot path — sequence-BT scoring over word-packed windows —
-// dominates campaign rows and optimizer evaluations now that the
+// The ordering hot path — sequence-BT scoring over word-packed windows,
+// and the greedy min-XOR chain that chain, hdchain and hybrid start from
+// — dominates campaign rows and optimizer evaluations now that the
 // analytical NoC backend and the scenario cache removed most simulation
-// cost. This header turns "which machine kernel counts the transitions"
-// into a registered interface, held in the same Registry template as the
-// OrderingStrategy / PlacementPolicy / Optimizer registries:
+// cost. This header turns "which machine kernel counts the transitions
+// and scans the chain" into a registered interface, held in the same
+// Registry template as the OrderingStrategy / PlacementPolicy / Optimizer
+// registries:
 //
-//   scalar   the word-packed uint64 kernels, one window per call; the
-//            portable tier every host runs
+//   scalar   the word-packed uint64 kernels, one window per call, and the
+//            chain scan over a compact list of the values not yet chained;
+//            the portable tier every host runs
 //   avx2     vpshufb-LUT popcount over 256-bit lanes (AVX-512 vpopcntq
-//            inner loops where the CPU has them), registered only when the
-//            TU could be compiled and available only when CPUID agrees
+//            inner loops where the CPU has them) and a min-key chain scan,
+//            registered only when the TU could be compiled and available
+//            only when CPUID agrees
 //
 // A tier is kept only while it beats the tier below it by >= 1.2x in
-// `micro_ordering --json`, which times every registered tier.
+// `micro_ordering --json`, which times every registered tier's BT kernels
+// and its chain.
 //
-// Every tier computes the exact same integer sums — the differential
-// suites pin each registered backend byte-identical to the naive per-bit
-// reference — so campaign reports are invariant under the selected tier.
+// Every tier computes the exact same integer sums and chain permutations
+// — the differential suites pin each registered backend byte-identical to
+// the naive per-bit reference and the naive chain scan — so campaign
+// reports are invariant under the selected tier.
 //
 // Dispatch: active_kernel_backend() picks the highest-priority available
 // backend at first use, unless the NOCBT_KERNEL_TIER environment variable
@@ -69,12 +75,27 @@ class BtKernelBackend {
                                  DataFormat format, std::size_t window_values,
                                  std::span<std::uint64_t> out) const;
 
+  /// Greedy min-XOR chain of one window into `perm` (`perm.size()` must
+  /// equal `window.size()`): the value with the most '1' bits first, then
+  /// repeatedly the value not yet chained at the least Hamming distance
+  /// from the last one, ties to the lowest index, distances over the
+  /// format's value bits only — exactly greedy_min_xor_chain's permutation
+  /// (greedy_chain.h). The base implementation is the scalar tier's scan
+  /// over a compact list of the values not yet chained; the avx2 tier
+  /// overrides it and falls back to it for windows its keys cannot index.
+  virtual void greedy_chain(std::span<const std::uint32_t> window,
+                            DataFormat format,
+                            std::span<std::uint32_t> perm) const;
+
  protected:
   /// Shared argument validation for the batched entry points (throws
   /// std::invalid_argument naming the offending size).
   static void check_batch_args(std::size_t pattern_count,
                                std::size_t window_values,
                                std::size_t out_size);
+  /// Same for greedy_chain: the permutation must cover the window.
+  static void check_chain_args(std::size_t window_size,
+                               std::size_t perm_size);
 };
 
 /// The kernel-tier registry, in registration order: scalar, then avx2

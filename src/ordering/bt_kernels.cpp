@@ -96,6 +96,13 @@ std::vector<std::uint64_t> sequence_bt_batch(
   return out;
 }
 
+std::vector<std::uint32_t> greedy_chain(std::span<const std::uint32_t> window,
+                                        DataFormat format) {
+  std::vector<std::uint32_t> perm(window.size());
+  active_kernel_backend().greedy_chain(window, format, perm);
+  return perm;
+}
+
 std::uint64_t permuted_sequence_bt(std::span<const std::uint32_t> patterns,
                                    std::span<const std::uint32_t> perm,
                                    DataFormat format) noexcept {

@@ -13,7 +13,8 @@
 // The free functions here dispatch through the registered BtKernelBackend
 // tier (bt_kernel_backend.h): scalar or avx2 depending on the host CPU and
 // the NOCBT_KERNEL_TIER override. Every tier computes the exact same
-// integer sums, so results are tier-invariant by construction.
+// integer sums and chain permutations, so results are tier-invariant by
+// construction.
 
 #include <cstdint>
 #include <span>
@@ -59,6 +60,12 @@ struct PackedStream {
 [[nodiscard]] std::vector<std::uint64_t> sequence_bt_batch(
     std::span<const std::uint32_t> patterns, DataFormat format,
     std::size_t window_values);
+
+/// The greedy min-XOR chain of one window through the active tier: exactly
+/// greedy_min_xor_chain's permutation (greedy_chain.h), which stays the
+/// naive reference the tests compare every tier against.
+[[nodiscard]] std::vector<std::uint32_t> greedy_chain(
+    std::span<const std::uint32_t> window, DataFormat format);
 
 /// Same total as sequence_bt for the stream patterns[perm[0]],
 /// patterns[perm[1]], ... without materializing the permuted copy.

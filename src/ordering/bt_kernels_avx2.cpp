@@ -16,6 +16,16 @@
 // byte popcount folded with psadbw then cover 32 byte-pairs per step
 // (AVX-512: 64 with a native vpopcntq), a uint64 loop covers 8, and one
 // masked word handles the ragged tail exactly.
+//
+// Chain shape: each pick of the greedy min-XOR chain is one pass over
+// every lane of the window, with no erase. A lane's key is
+// (distance << shift) | index and a chained lane holds all-ones, so an
+// unsigned min over the keys is the least distance and, among equal
+// distances, the lowest index — the scalar scan's first strict minimum.
+// Fixed-8 windows of up to 4096 values take 16-bit keys (distance <= 8 in
+// bits 12-15); longer ones, and float-32, take 32-bit keys (distance <= 32
+// in bits 26-31), whose byte-LUT popcount is folded by maddubs/madd.
+// Windows past 2^26 values take the scalar scan.
 
 #include <cstdint>
 #include <cstring>
@@ -167,6 +177,107 @@ pair_popcount_avx512(const std::uint8_t* buf, std::size_t pair_bytes,
 using PairPopcountFn = std::uint64_t (*)(const std::uint8_t*, std::size_t,
                                          std::size_t) noexcept;
 
+/// Key layouts of the chain scan: the index field's width, hence the
+/// longest window each can chain.
+constexpr unsigned kKey16IndexBits = 12;
+constexpr unsigned kKey32IndexBits = 26;
+constexpr std::size_t kKey16MaxWindow = std::size_t{1} << kKey16IndexBits;
+constexpr std::size_t kKey32MaxWindow = std::size_t{1} << kKey32IndexBits;
+
+/// Per-thread lane scratch of the chain scan: the masked values, then the
+/// key bases (the lane's index, or all-ones once chained). Padding lanes
+/// past the window hold a chained base, so a pass never reads them as
+/// candidates.
+template <typename Lane>
+Lane* chain_scratch(std::size_t lanes) {
+  thread_local std::vector<Lane> buf;
+  if (buf.size() < 2 * lanes) buf.resize(2 * lanes);
+  return buf.data();
+}
+
+/// The chain over 16-bit keys, for windows of <= 4096 values of <= 8 bits.
+/// Each lane's value is zero-extended to 16 bits, so the byte-LUT popcount
+/// of value XOR current is the lane's distance with no fold.
+void chain_keys16(std::span<const std::uint32_t> window,
+                  std::span<std::uint32_t> perm) {
+  const std::size_t n = window.size();
+  const std::size_t lanes = (n + 15) & ~std::size_t{15};
+  std::uint16_t* const value = chain_scratch<std::uint16_t>(lanes);
+  std::uint16_t* const base = value + lanes;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    value[i] = i < n ? static_cast<std::uint8_t>(window[i]) : 0;
+    base[i] = i < n ? static_cast<std::uint16_t>(i) : 0xFFFF;
+  }
+  // An all-ones predecessor makes the first pick the seed: the least
+  // distance from all-ones is the most '1' bits, ties to the lowest index.
+  std::uint16_t current = 0xFF;
+  for (std::size_t step = 0; step < n; ++step) {
+    const __m256i cur = _mm256_set1_epi16(static_cast<short>(current));
+    __m256i best = _mm256_set1_epi16(-1);
+    for (std::size_t i = 0; i < lanes; i += 16) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(value + i));
+      const __m256i dist = popcount_bytes(_mm256_xor_si256(v, cur));
+      const __m256i key = _mm256_or_si256(
+          _mm256_slli_epi16(dist, kKey16IndexBits),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i)));
+      best = _mm256_min_epu16(best, key);
+    }
+    const __m128i half = _mm_min_epu16(_mm256_castsi256_si128(best),
+                                       _mm256_extracti128_si256(best, 1));
+    const auto key =
+        static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_minpos_epu16(half)));
+    const std::uint32_t index = key & (kKey16MaxWindow - 1);
+    perm[step] = index;
+    current = value[index];
+    base[index] = 0xFFFF;
+  }
+}
+
+/// The chain over 32-bit keys, for windows of <= 2^26 values of any width.
+/// The per-byte popcounts of value XOR current fold into 32-bit lanes
+/// through maddubs (byte pairs) and madd (word pairs).
+void chain_keys32(std::span<const std::uint32_t> window, DataFormat format,
+                  std::span<std::uint32_t> perm) {
+  const std::size_t n = window.size();
+  const std::size_t lanes = (n + 7) & ~std::size_t{7};
+  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
+  std::uint32_t* const value = chain_scratch<std::uint32_t>(lanes);
+  std::uint32_t* const base = value + lanes;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    value[i] = i < n ? window[i] & mask : 0;
+    base[i] = i < n ? static_cast<std::uint32_t>(i) : 0xFFFFFFFFu;
+  }
+  const __m256i ones8 = _mm256_set1_epi8(1);
+  const __m256i ones16 = _mm256_set1_epi16(1);
+  std::uint32_t current = mask;  // the seed pick, as in chain_keys16
+  for (std::size_t step = 0; step < n; ++step) {
+    const __m256i cur = _mm256_set1_epi32(static_cast<int>(current));
+    __m256i best = _mm256_set1_epi32(-1);
+    for (std::size_t i = 0; i < lanes; i += 8) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(value + i));
+      const __m256i dist = _mm256_madd_epi16(
+          _mm256_maddubs_epi16(popcount_bytes(_mm256_xor_si256(v, cur)),
+                               ones8),
+          ones16);
+      const __m256i key = _mm256_or_si256(
+          _mm256_slli_epi32(dist, kKey32IndexBits),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i)));
+      best = _mm256_min_epu32(best, key);
+    }
+    __m128i half = _mm_min_epu32(_mm256_castsi256_si128(best),
+                                 _mm256_extracti128_si256(best, 1));
+    half = _mm_min_epu32(half, _mm_shuffle_epi32(half, 0x4E));
+    half = _mm_min_epu32(half, _mm_shuffle_epi32(half, 0xB1));
+    const auto key = static_cast<std::uint32_t>(_mm_cvtsi128_si32(half));
+    const std::uint32_t index = key & (kKey32MaxWindow - 1);
+    perm[step] = index;
+    current = value[index];
+    base[index] = 0xFFFFFFFFu;
+  }
+}
+
 class Avx2Backend final : public BtKernelBackend {
  public:
   Avx2Backend() {
@@ -180,7 +291,8 @@ class Avx2Backend final : public BtKernelBackend {
   std::string_view name() const noexcept override { return "avx2"; }
   std::string_view description() const noexcept override {
     return "256-bit vpshufb-LUT popcount over byte-narrowed windows "
-           "(AVX-512 vpopcntq inner loops where the CPU supports them)";
+           "(AVX-512 vpopcntq inner loops where the CPU supports them); "
+           "min-key chain scan over 16- or 32-bit keys";
   }
   bool available() const noexcept override {
     return __builtin_cpu_supports("avx2") != 0;
@@ -209,6 +321,17 @@ class Avx2Backend final : public BtKernelBackend {
       out[w] = len < 2 ? 0
                        : pair_popcount_(buf + start * vb, (len - 1) * vb, vb);
     }
+  }
+
+  void greedy_chain(std::span<const std::uint32_t> window, DataFormat format,
+                    std::span<std::uint32_t> perm) const override {
+    check_chain_args(window.size(), perm.size());
+    if (value_bits(format) <= 8 && window.size() <= kKey16MaxWindow)
+      chain_keys16(window, perm);
+    else if (window.size() <= kKey32MaxWindow)
+      chain_keys32(window, format, perm);
+    else
+      BtKernelBackend::greedy_chain(window, format, perm);
   }
 
  private:

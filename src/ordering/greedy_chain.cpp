@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ordering/bt_kernels.h"
+
 namespace nocbt::ordering {
 
 std::vector<std::uint32_t> greedy_min_xor_chain(
@@ -56,7 +58,7 @@ std::vector<std::uint32_t> chain_stream_greedy(
        start += window_values) {
     const std::size_t len = std::min(window_values, patterns.size() - start);
     const auto window = patterns.subspan(start, len);
-    const auto perm = greedy_min_xor_chain(window, format);
+    const auto perm = greedy_chain(window, format);
     for (const std::uint32_t idx : perm) out.push_back(window[idx]);
   }
   return out;

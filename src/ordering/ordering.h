@@ -57,6 +57,15 @@ enum class OrderingMode : std::uint8_t {
   return mode == OrderingMode::kSeparated;
 }
 
+/// chain, hdchain and hybrid: the modes whose strategy starts from the
+/// greedy min-XOR chain of each window (RawChain, strategy.h), so one raw
+/// chain of a stream serves all three. All three keep pairs affiliated,
+/// so only the weights stream is ever chained.
+[[nodiscard]] constexpr bool mode_chains(OrderingMode mode) noexcept {
+  return mode == OrderingMode::kChain || mode == OrderingMode::kHdChain ||
+         mode == OrderingMode::kHybrid;
+}
+
 /// Name of the registered OrderingStrategy a mode reorders with ("arrival"
 /// for O0, "popcount" for O1/O2, the strategy's own name otherwise).
 [[nodiscard]] std::string_view mode_strategy_name(OrderingMode mode) noexcept;

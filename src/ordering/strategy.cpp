@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/bitops.h"
+#include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
 
 namespace nocbt::ordering {
@@ -20,10 +20,12 @@ std::vector<std::uint32_t> identity_permutation(std::size_t n) {
 }
 
 /// Shared argument validation for order_batch (window count derives from
-/// the span; an arrival-BT hint must cover every window exactly).
+/// the span; an arrival-BT hint must cover every window exactly, a chain
+/// hint every value and every window).
 std::size_t check_order_batch_args(std::size_t pattern_count,
                                    std::size_t window_values,
-                                   std::size_t hint_size) {
+                                   std::size_t hint_size,
+                                   const RawChain* chain) {
   if (window_values == 0)
     throw std::invalid_argument("order_batch: window_values == 0");
   const std::size_t windows =
@@ -32,6 +34,16 @@ std::size_t check_order_batch_args(std::size_t pattern_count,
     throw std::invalid_argument(
         "order_batch: arrival_bt hint holds " + std::to_string(hint_size) +
         " entries but the span forms " + std::to_string(windows) +
+        " windows");
+  if (chain && chain->perm.size() != pattern_count)
+    throw std::invalid_argument(
+        "order_batch: chain hint permutes " +
+        std::to_string(chain->perm.size()) + " values but the span holds " +
+        std::to_string(pattern_count));
+  if (chain && chain->bt.size() != windows)
+    throw std::invalid_argument(
+        "order_batch: chain hint holds " + std::to_string(chain->bt.size()) +
+        " window BTs but the span forms " + std::to_string(windows) +
         " windows");
   return windows;
 }
@@ -63,56 +75,6 @@ std::vector<std::uint32_t> materialize_permuted(
       values[start + k] = patterns[start + flat_perm[start + k]];
   }
   return values;
-}
-
-/// Nearest-neighbor Hamming-distance chain: same semantics as the naive
-/// reference scan in greedy_chain.h (seed = highest popcount, ties to the
-/// lowest index; successor = minimum HD, ties to the lowest index). The
-/// values not yet chained stay masked and in arrival order, so each scan's
-/// first strict minimum is the lowest-index one; the winner is erased,
-/// never swap-removed, to keep that order. Distances are computed as the
-/// scan reads them: the chain reads each pair at most once.
-std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
-                                        DataFormat format) {
-  const std::size_t n = patterns.size();
-  std::vector<std::uint32_t> perm;
-  if (n == 0) return perm;
-  perm.reserve(n);
-
-  std::size_t seed = 0;
-  for (std::size_t i = 1; i < n; ++i)
-    if (pattern_popcount(patterns[i], format) >
-        pattern_popcount(patterns[seed], format))
-      seed = i;
-
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  struct Pending {
-    std::uint32_t value;  ///< masked pattern
-    std::uint32_t index;  ///< position in the window
-  };
-  std::vector<Pending> rest;
-  rest.reserve(n - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    if (i != seed)
-      rest.push_back({patterns[i] & mask, static_cast<std::uint32_t>(i)});
-
-  perm.push_back(static_cast<std::uint32_t>(seed));
-  std::uint32_t current = patterns[seed] & mask;
-  while (!rest.empty()) {
-    std::size_t best = 0;
-    int best_dist = popcount32(current ^ rest[0].value);
-    for (std::size_t k = 1; k < rest.size(); ++k) {
-      const int dist = popcount32(current ^ rest[k].value);
-      if (dist < best_dist) {
-        best = k;
-        best_dist = dist;
-      }
-    }
-    perm.push_back(rest[best].index);
-    current = rest[best].value;
-    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(best));
-  }
-  return perm;
 }
 
 /// Registered name, description and hardware cost of a built-in. Names
@@ -155,6 +117,17 @@ class PopcountSortStrategy final : public BuiltinStrategy {
   }
 };
 
+/// The caller's raw-chain hint when provided (one chain shared across the
+/// chain-class rows of a grid point), else one raw_chain_batch here.
+/// `store` keeps the computed chain alive.
+const RawChain& raw_chain(std::span<const std::uint32_t> patterns,
+                          DataFormat format, std::size_t window_values,
+                          const RawChain* hint, RawChain& store) {
+  if (hint) return *hint;
+  store = raw_chain_batch(patterns, format, window_values);
+  return store;
+}
+
 /// "chain" and "hdchain": the greedy min-XOR chain, guarded never worse
 /// than arrival order. order() is order_batch() over one window.
 class HdChainingStrategy final : public BuiltinStrategy {
@@ -164,31 +137,26 @@ class HdChainingStrategy final : public BuiltinStrategy {
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
     return order_batch(patterns, format,
-                       std::max<std::size_t>(patterns.size(), 1), {});
+                       std::max<std::size_t>(patterns.size(), 1), {}, nullptr);
   }
   std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
-    std::vector<std::uint32_t> flat;
-    flat.reserve(patterns.size());
-    for (std::size_t start = 0; start < patterns.size();
-         start += window_values) {
-      const std::size_t len = std::min(window_values, patterns.size() - start);
-      const auto perm = hd_chain_raw(patterns.subspan(start, len), format);
-      flat.insert(flat.end(), perm.begin(), perm.end());
-    }
-    // One batch pass scores every chained window, one (or the caller's
-    // hint) scores arrival order; a window whose chain would add BT falls
-    // back to the identity.
+      std::size_t window_values, std::span<const std::uint64_t> arrival_bt,
+      const RawChain* chain) const override {
+    check_order_batch_args(patterns.size(), window_values, arrival_bt.size(),
+                           chain);
+    RawChain chain_store;
+    const RawChain& raw =
+        raw_chain(patterns, format, window_values, chain, chain_store);
+    // The raw chain carries its windows' BTs, one batch pass (or the
+    // caller's hint) scores arrival order; a window whose chain would add
+    // BT falls back to the identity.
     std::vector<std::uint64_t> abt_store;
     const auto abt =
         arrival_bts(patterns, format, window_values, arrival_bt, abt_store);
-    const auto chained = materialize_permuted(patterns, flat, window_values);
-    const auto cbt = sequence_bt_batch(chained, format, window_values);
-    for (std::size_t w = 0; w < cbt.size(); ++w) {
-      if (cbt[w] <= abt[w]) continue;
+    std::vector<std::uint32_t> flat = raw.perm;
+    for (std::size_t w = 0; w < raw.bt.size(); ++w) {
+      if (raw.bt[w] <= abt[w]) continue;
       const std::size_t start = w * window_values;
       const std::size_t len = std::min(window_values, patterns.size() - start);
       for (std::size_t k = 0; k < len; ++k)
@@ -207,36 +175,33 @@ class HybridStrategy final : public BuiltinStrategy {
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
     return order_batch(patterns, format,
-                       std::max<std::size_t>(patterns.size(), 1), {});
+                       std::max<std::size_t>(patterns.size(), 1), {}, nullptr);
   }
   std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
+      std::size_t window_values, std::span<const std::uint64_t> arrival_bt,
+      const RawChain* chain) const override {
+    check_order_batch_args(patterns.size(), window_values, arrival_bt.size(),
+                           chain);
     std::vector<std::uint64_t> abt_store;
     const auto abt =
         arrival_bts(patterns, format, window_values, arrival_bt, abt_store);
-    // Build both candidate orderings for every window, then score each
-    // candidate stream in one batch pass instead of two kernel calls per
-    // window.
-    std::vector<std::uint32_t> pop_flat, chain_flat;
+    RawChain chain_store;
+    const RawChain& raw =
+        raw_chain(patterns, format, window_values, chain, chain_store);
+    // Build the popcount candidate for every window, then score it in one
+    // batch pass instead of one kernel call per window.
+    std::vector<std::uint32_t> pop_flat;
     pop_flat.reserve(patterns.size());
-    chain_flat.reserve(patterns.size());
     for (std::size_t start = 0; start < patterns.size();
          start += window_values) {
       const std::size_t len = std::min(window_values, patterns.size() - start);
-      const auto window = patterns.subspan(start, len);
-      const auto pop = popcount_descending_order(window, format);
+      const auto pop =
+          popcount_descending_order(patterns.subspan(start, len), format);
       pop_flat.insert(pop_flat.end(), pop.begin(), pop.end());
-      const auto chain = hd_chain_raw(window, format);
-      chain_flat.insert(chain_flat.end(), chain.begin(), chain.end());
     }
     const auto pop_bt = sequence_bt_batch(
         materialize_permuted(patterns, pop_flat, window_values), format,
-        window_values);
-    const auto chain_bt = sequence_bt_batch(
-        materialize_permuted(patterns, chain_flat, window_values), format,
         window_values);
     // Strict-< cascade: arrival wins ties over popcount, popcount wins
     // ties over the chain (cheaper circuit first).
@@ -250,7 +215,7 @@ class HybridStrategy final : public BuiltinStrategy {
         best_bt = pop_bt[w];
         src = pop_flat.data() + start;
       }
-      if (chain_bt[w] < best_bt) src = chain_flat.data() + start;
+      if (raw.bt[w] < best_bt) src = raw.perm.data() + start;
       for (std::size_t k = 0; k < len; ++k)
         flat[start + k] = src ? src[k] : static_cast<std::uint32_t>(k);
     }
@@ -275,10 +240,31 @@ class TwoFlitStrategy final : public BuiltinStrategy {
 
 }  // namespace
 
+RawChain raw_chain_batch(std::span<const std::uint32_t> patterns,
+                         DataFormat format, std::size_t window_values) {
+  if (window_values == 0)
+    throw std::invalid_argument("raw_chain_batch: window_values == 0");
+  RawChain out;
+  out.perm.resize(patterns.size());
+  const BtKernelBackend& kernels = active_kernel_backend();
+  for (std::size_t start = 0; start < patterns.size();
+       start += window_values) {
+    const std::size_t len = std::min(window_values, patterns.size() - start);
+    kernels.greedy_chain(patterns.subspan(start, len), format,
+                         std::span(out.perm).subspan(start, len));
+  }
+  out.bt = sequence_bt_batch(
+      materialize_permuted(patterns, out.perm, window_values), format,
+      window_values);
+  return out;
+}
+
 std::vector<std::uint32_t> OrderingStrategy::order_batch(
     std::span<const std::uint32_t> patterns, DataFormat format,
-    std::size_t window_values, std::span<const std::uint64_t> arrival_bt) const {
-  check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
+    std::size_t window_values, std::span<const std::uint64_t> arrival_bt,
+    const RawChain* chain) const {
+  check_order_batch_args(patterns.size(), window_values, arrival_bt.size(),
+                         chain);
   std::vector<std::uint32_t> flat;
   flat.reserve(patterns.size());
   for (std::size_t start = 0; start < patterns.size();

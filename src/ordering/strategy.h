@@ -27,9 +27,13 @@
 // Names that compute the same permutation share one implementation and
 // differ only in description and hardware cost: popcount and bucket run
 // popcount_descending_order's counting sort; chain and hdchain run one
-// greedy chain that computes each distance when its scan reads it. The
-// naive chain scan stays in greedy_chain.h as the reference the tests
-// compare against.
+// class over raw_chain_batch, the greedy chain of every window through the
+// kernel tier's chain entry (bt_kernel_backend.h). The naive chain scan
+// stays in greedy_chain.h as the reference the tests compare against.
+//
+// chain, hdchain and hybrid start from the same raw chain, so a caller
+// that orders one stream for all three (the campaign runner, per grid
+// point) computes it once and passes it to order_batch as a RawChain hint.
 //
 // chain/hdchain/hybrid additionally guarantee they never increase the
 // window's sequence BT versus arrival order (they fall back to the
@@ -56,6 +60,23 @@ struct HardwareCost {
   bool sequential_scan = false; ///< needs a serial O(N^2) selection loop
   bool per_window_adaptive = false;  ///< needs per-window BT monitors
 };
+
+/// The greedy min-XOR chain of every window of a stream, before any
+/// never-worse guard: the candidate chain, hdchain and hybrid start from.
+struct RawChain {
+  /// Concatenated window-local chain permutations (the order_batch layout).
+  std::vector<std::uint32_t> perm;
+  /// Each chained window's sequence BT.
+  std::vector<std::uint64_t> bt;
+};
+
+/// Chain every window_values-sized window of `patterns` (the last may be
+/// ragged) through the active kernel tier, then score the chained stream
+/// in one sequence_bt_batch pass. Throws std::invalid_argument when
+/// window_values == 0.
+[[nodiscard]] RawChain raw_chain_batch(std::span<const std::uint32_t> patterns,
+                                       DataFormat format,
+                                       std::size_t window_values);
 
 /// One ordering policy. Implementations must be stateless and thread-safe:
 /// order() is called concurrently from campaign worker threads and must be
@@ -92,10 +113,20 @@ class OrderingStrategy {
   /// non-empty spans must hold exactly one entry per window. Since every
   /// kernel tier returns identical sums, the hint can never change the
   /// chosen permutations.
+  ///
+  /// `chain` optionally carries raw_chain_batch(patterns, format,
+  /// window_values) (the campaign runner builds it once per grid point for
+  /// the chain, hdchain and hybrid rows). Null means "chain here"; a hint
+  /// whose perm does not cover the span, or whose bt does not hold one
+  /// entry per window, throws std::invalid_argument. chain and hdchain
+  /// guard it never worse than arrival, hybrid runs its cascade over it,
+  /// and every other strategy ignores it. It is what those three would
+  /// compute themselves, so it changes no permutation.
   [[nodiscard]] virtual std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
       std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt = {}) const;
+      std::span<const std::uint64_t> arrival_bt = {},
+      const RawChain* chain = nullptr) const;
 
   /// True for chain-class strategies that guarantee the ordered window's
   /// sequence BT never exceeds arrival order's (the property suite

@@ -30,8 +30,9 @@ using PayloadBatch = std::vector<std::vector<BitVec>>;
 /// OrderingStrategy::order_batch call (one BtKernelBackend pass per
 /// candidate ordering) instead of one-to-two kernel calls per request.
 /// order_batch returns exactly what order() returns per window, and the
-/// equivalence suites pin it. Baseline mode and non-uniform layouts take
-/// the per-request path.
+/// equivalence suites pin it. The chain, hdchain and hybrid rows share the
+/// schedule's one raw chain of the weights stream. Baseline mode and
+/// non-uniform layouts take the per-request path.
 template <typename Visit>
 void for_each_ordered(const SharedSchedule& sched, DataFormat format,
                       ordering::OrderingMode mode, Visit&& visit) {
@@ -48,8 +49,10 @@ void for_each_ordered(const SharedSchedule& sched, DataFormat format,
   const SharedSchedule::Derived* d =
       reqs.empty() ? nullptr : &sched.derived(format);
   if (d && d->uniform) {
-    const auto w_flat = strategy.order_batch(d->weights_concat, format,
-                                             d->window_values, d->weights_bt);
+    const ordering::RawChain* chain =
+        ordering::mode_chains(mode) ? &sched.weights_chain(format) : nullptr;
+    const auto w_flat = strategy.order_batch(
+        d->weights_concat, format, d->window_values, d->weights_bt, chain);
     // Affiliated pairing reuses the weight permutation for the inputs.
     const auto in_flat =
         separated ? strategy.order_batch(d->inputs_concat, format,
@@ -393,6 +396,23 @@ const SharedSchedule::Derived& SharedSchedule::derived(
                            to_string(format_) + ", asked for " +
                            to_string(format));
   return derived_;
+}
+
+const ordering::RawChain& SharedSchedule::weights_chain(DataFormat format,
+                                                       bool* built) const {
+  const Derived& d = derived(format);
+  if (!d.uniform)
+    throw std::logic_error(
+        "SharedSchedule::weights_chain: the schedule's windows are not "
+        "uniform, so it orders per request");
+  bool ran = false;
+  std::call_once(chain_once_, [&] {
+    chain_ = ordering::raw_chain_batch(d.weights_concat, format,
+                                       d.window_values);
+    ran = true;
+  });
+  if (built) *built = ran;
+  return chain_;
 }
 
 const SharedSchedule::Timing& SharedSchedule::timing(const ScenarioSpec& spec,

@@ -29,6 +29,7 @@
 
 #include "common/data_format.h"
 #include "noc/wire_order.h"
+#include "ordering/strategy.h"
 #include "sim/campaign.h"
 #include "sim/traffic_gen.h"
 
@@ -56,13 +57,15 @@ struct RunOutcome {
   std::vector<noc::LinkObservation> links;  ///< frozen per-link counters
 };
 
-/// A materialized schedule plus two blocks built lazily beside it and then
-/// shared — through the campaign ScheduleCache, by every mode row of a
-/// grid point:
+/// A materialized schedule plus three blocks built lazily beside it and
+/// then shared — through the campaign ScheduleCache, by every mode row of
+/// a grid point:
 ///   - the derived inputs of batched payload ordering: the per-stream
 ///     value concatenations and arrival-order sequence-BT hints that let
 ///     one OrderingStrategy::order_batch call (one kernel pass per
 ///     candidate ordering) score every window of the scenario;
+///   - the weights stream's raw greedy chain, the order_batch hint of the
+///     chain, hdchain and hybrid rows, built when the first of them asks;
 ///   - the timing block: the grid point's one NoC run.
 /// The request list is immutable after materialization.
 struct SharedSchedule {
@@ -88,6 +91,16 @@ struct SharedSchedule {
   /// call with another format is a caller bug: it throws std::logic_error
   /// naming both formats.
   [[nodiscard]] const Derived& derived(DataFormat format) const;
+
+  /// raw_chain_batch over the derived weights stream, built exactly once
+  /// (thread-safe) on first use, so a grid point without chain-class rows
+  /// never pays for it. Only the weights are chained: every chain-class
+  /// mode keeps pairs affiliated. Calls derived(format), whose format check
+  /// it inherits; throws std::logic_error when the layout is not uniform
+  /// (such schedules order per request). `built` (may be null) is set to
+  /// whether this call built it.
+  [[nodiscard]] const ordering::RawChain& weights_chain(
+      DataFormat format, bool* built = nullptr) const;
 
   /// The grid point's one NoC run: O0 payloads through the spec's engine,
   /// recording the wire order. Holds no payloads — only the O0 outcome
@@ -115,6 +128,8 @@ struct SharedSchedule {
   mutable std::once_flag once_;
   mutable DataFormat format_{};  // written once, inside once_
   mutable Derived derived_;
+  mutable std::once_flag chain_once_;
+  mutable ordering::RawChain chain_;
   mutable std::once_flag timing_once_;
   mutable std::string timing_key_;  // written once, inside timing_once_
   mutable Timing timing_;
@@ -215,7 +230,7 @@ struct SingleRunOutcome {
 /// `schedules` (may be null) shares materialized schedules, their derived
 /// batched-ordering inputs and their timing across calls — opt::Evaluator
 /// passes its own so candidates differing only in ordering mode reuse one
-/// schedule, one set of arrival-BT hints and one NoC run.
+/// schedule, one set of arrival-BT hints, one raw chain and one NoC run.
 [[nodiscard]] SingleRunOutcome run_single_scenario_cached(
     const CampaignSpec& spec, ScenarioCache* cache,
     ScheduleCache* schedules = nullptr);

@@ -1,16 +1,18 @@
 // Registry, dispatch, and differential suites for the BtKernelBackend
 // kernel tier. The load-bearing invariant is byte-identity: every
 // registered backend — scalar, and avx2 where the host has it — must
-// return exactly the sums of the naive per-bit reference, batched entry
-// points must equal their looped counterparts, and forcing any tier via
-// ScopedKernelTier must never change a result. The campaign golden suite
-// leans on this when it replays reports under every tier.
+// return exactly the sums of the naive per-bit reference and exactly the
+// naive greedy chain's permutations, batched entry points must equal
+// their looped counterparts, and forcing any tier via ScopedKernelTier
+// must never change a result. The campaign golden suite leans on this
+// when it replays reports under every tier.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
+#include "ordering/greedy_chain.h"
 
 namespace nocbt::ordering {
 namespace {
@@ -45,6 +48,33 @@ std::vector<std::uint32_t> tie_heavy_patterns(std::size_t n, unsigned bits,
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     out.push_back(alphabet[rng.bits64() % 3]);
+  return out;
+}
+
+/// Fixed-8 patterns carrying stray bits above bit 7 in their uint32 slots:
+/// the chain must see only the transmitted byte.
+std::vector<std::uint32_t> stray_bit_patterns(std::size_t n,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint32_t> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(static_cast<std::uint32_t>(rng.bits64()) | 0x100u);
+  return out;
+}
+
+/// Float-32 patterns with bit 31 set, every other one followed by the
+/// complement of a value drawn earlier: distances reach 32, so chain keys
+/// carry their top bit, which a signed min would misorder.
+std::vector<std::uint32_t> top_bit_patterns(std::size_t n,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint32_t> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(i % 2 == 1 ? ~out[rng.bits64() % i]
+                             : static_cast<std::uint32_t>(rng.bits64()) |
+                                   0x80000000u);
   return out;
 }
 
@@ -209,6 +239,49 @@ TEST(KernelDifferential, BatchValidatesWindowAndOutSizes) {
                  std::invalid_argument)
         << backend->name();
     backend->sequence_bt_batch(patterns, DataFormat::kFixed8, 3, out);
+  }
+}
+
+TEST(KernelChainDifferential, EveryTierMatchesNaiveChain) {
+  // Every window size 0-300, then sizes straddling the 16-bit key's
+  // 4096-value index field (fixed-8 windows past it take 32-bit keys).
+  std::vector<std::size_t> sizes(301);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{0});
+  sizes.insert(sizes.end(), {4095u, 4096u, 4097u, 4200u});
+  for (const DataFormat format : kFormats) {
+    const unsigned bits = value_bits(format);
+    for (const std::size_t n : sizes) {
+      const std::vector<std::uint32_t> inputs[] = {
+          random_patterns(n, bits, n * 7 + 1),
+          tie_heavy_patterns(n, bits, n * 7 + 2),
+          format == DataFormat::kFixed8 ? stray_bit_patterns(n, n * 7 + 3)
+                                        : top_bit_patterns(n, n * 7 + 3)};
+      const char* const kinds[] = {"random", "tie-heavy",
+                                   "stray/top bits"};
+      for (std::size_t k = 0; k < std::size(inputs); ++k) {
+        const auto expected = greedy_min_xor_chain(inputs[k], format);
+        for (const BtKernelBackend* backend : kernel_backends().all()) {
+          if (!backend->available()) continue;
+          const ScopedKernelTier force(backend->name());
+          EXPECT_EQ(greedy_chain(inputs[k], format), expected)
+              << backend->name() << " " << to_string(format) << " n=" << n
+              << " " << kinds[k];
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelChainDifferential, ChainValidatesPermSize) {
+  const auto window = random_patterns(10, 8, 9);
+  for (const BtKernelBackend* backend : kernel_backends().all()) {
+    if (!backend->available()) continue;
+    std::vector<std::uint32_t> short_perm(9);
+    EXPECT_THROW(
+        backend->greedy_chain(window, DataFormat::kFixed8, short_perm),
+        std::invalid_argument)
+        << backend->name();
+    backend->greedy_chain({}, DataFormat::kFloat32, {});  // empty is fine
   }
 }
 

@@ -173,7 +173,9 @@ TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
 
 TEST(StrategyDifferential, HdChainMatchesNaiveChainOnLargeWindow) {
   // A 4200-value fixed-8 window: thousands of distance ties per scan, so
-  // any drift from the lowest-index tie rule shows.
+  // any drift from the lowest-index tie rule shows. It is past the 16-bit
+  // chain key's 4096-value index field, so the avx2 tier chains it over
+  // 32-bit keys.
   const DataFormat format = DataFormat::kFixed8;
   const auto window = random_window(4200, format, 77);
   const OrderingStrategy& hdchain = strategies().get("hdchain");
@@ -257,6 +259,12 @@ TEST(StrategyBatch, OrderBatchEqualsLoopedOrderForEveryStrategy) {
         const auto hints = sequence_bt_batch(stream, format, wv);
         EXPECT_EQ(strategy->order_batch(stream, format, wv, hints), flat)
             << strategy->name() << ": arrival-BT hint changed the result";
+        const RawChain chain = raw_chain_batch(stream, format, wv);
+        EXPECT_EQ(strategy->order_batch(stream, format, wv, {}, &chain), flat)
+            << strategy->name() << ": chain hint changed the result";
+        EXPECT_EQ(strategy->order_batch(stream, format, wv, hints, &chain),
+                  flat)
+            << strategy->name() << ": both hints changed the result";
         for (std::size_t start = 0; start < stream.size(); start += wv) {
           const std::size_t len = std::min(wv, stream.size() - start);
           const auto window = std::span(stream).subspan(start, len);
@@ -283,6 +291,60 @@ TEST(StrategyBatch, OrderBatchValidatesArguments) {
                                           bad_hint),
                std::invalid_argument);
   EXPECT_TRUE(strategy.order_batch({}, DataFormat::kFixed8, 32).empty());
+}
+
+TEST(StrategyBatch, OrderBatchRejectsAMalformedChainHint) {
+  // 63 values at 32 per window form 2 windows. Every strategy validates
+  // the hint, and the message names both sizes.
+  const auto stream = random_window(63, DataFormat::kFixed8, 4);
+  const RawChain good = raw_chain_batch(stream, DataFormat::kFixed8, 32);
+  RawChain short_perm = good;
+  short_perm.perm.pop_back();
+  RawChain extra_bt = good;
+  extra_bt.bt.push_back(0);
+  for (const OrderingStrategy* strategy : strategies().all()) {
+    const auto expect_rejected = [&](const RawChain& hint,
+                                     const std::string& have,
+                                     const std::string& want) {
+      try {
+        (void)strategy->order_batch(stream, DataFormat::kFixed8, 32, {},
+                                    &hint);
+        ADD_FAILURE() << strategy->name() << ": malformed hint accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(have), std::string::npos) << what;
+        EXPECT_NE(what.find(want), std::string::npos) << what;
+      }
+    };
+    expect_rejected(short_perm, "62 values", "holds 63");
+    expect_rejected(extra_bt, "3 window BTs", "forms 2 windows");
+  }
+}
+
+TEST(StrategyBatch, RawChainIsTheNaiveChainPerWindowAndItsBt) {
+  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
+    const auto stream = random_window(135, format, 8);  // 4 windows + 7
+    const std::size_t wv = 32;
+    const RawChain chain = raw_chain_batch(stream, format, wv);
+    ASSERT_EQ(chain.perm.size(), stream.size());
+    ASSERT_EQ(chain.bt.size(), 5u);
+    for (std::size_t w = 0; w < chain.bt.size(); ++w) {
+      const std::size_t start = w * wv;
+      const std::size_t len = std::min(wv, stream.size() - start);
+      const auto window = std::span(stream).subspan(start, len);
+      const std::vector<std::uint32_t> perm(
+          chain.perm.begin() + static_cast<std::ptrdiff_t>(start),
+          chain.perm.begin() + static_cast<std::ptrdiff_t>(start + len));
+      EXPECT_EQ(perm, greedy_min_xor_chain(window, format)) << "window " << w;
+      EXPECT_EQ(chain.bt[w], permuted_sequence_bt(window, perm, format))
+          << "window " << w;
+    }
+  }
+  EXPECT_THROW((void)raw_chain_batch({}, DataFormat::kFixed8, 0),
+               std::invalid_argument);
+  const RawChain empty = raw_chain_batch({}, DataFormat::kFixed8, 32);
+  EXPECT_TRUE(empty.perm.empty());
+  EXPECT_TRUE(empty.bt.empty());
 }
 
 }  // namespace

@@ -244,6 +244,7 @@ std::string payload_trace_path() {
     e.dst = dst;
     e.num_flits = static_cast<std::uint32_t>((pairs + 7) / 8);
     e.inject_cycle = cycle;
+    e.eject_cycle = cycle;  // load_csv rejects an ejection before injection
     for (std::size_t k = 0; k < pairs; ++k) {
       e.weights.push_back(static_cast<std::uint32_t>(rng.bits64() & 0xFF));
       e.inputs.push_back(static_cast<std::uint32_t>(rng.bits64() & 0xFF));
@@ -423,6 +424,63 @@ TEST(ReplayDifferential, SingleScenarioCachedSharesOneTiming) {
     if (!shared) shared = timing;
     EXPECT_EQ(timing, shared) << ordering::short_mode_name(mode);
   }
+}
+
+TEST(ReplayDifferential, ChainClassRowsShareOneLazyRawChain) {
+  CampaignSpec camp;
+  camp.name = "chained";
+  camp.meshes = {MeshSpec{4, 4, 2}};
+  camp.windows = {24};
+  camp.formats = {DataFormat::kFixed8};
+  camp.base = contended_spec();
+  const auto run_rows = [&](ScheduleCache& schedules,
+                            std::initializer_list<OrderingMode> modes) {
+    for (const OrderingMode mode : modes) {
+      camp.modes = {mode};
+      const SingleRunOutcome out =
+          run_single_scenario_cached(camp, nullptr, &schedules);
+      ASSERT_TRUE(out.row.error.empty()) << out.row.error;
+      EXPECT_TRUE(out.row == reference_row(camp.expand().front()))
+          << ordering::short_mode_name(mode);
+    }
+  };
+
+  // A grid point whose rows never chain builds no raw chain: the first to
+  // ask for it afterwards builds it.
+  ScheduleCache unchained(static_cast<std::size_t>(-1));
+  run_rows(unchained, {OrderingMode::kBaseline, OrderingMode::kAffiliated,
+                       OrderingMode::kSeparated, OrderingMode::kBucket,
+                       OrderingMode::kTwoFlit});
+  const ScenarioSpec spec = camp.expand().front();
+  const SharedSchedulePtr sched = unchained.get(spec);
+  ASSERT_TRUE(sched->derived(spec.format).uniform);
+  bool built = false;
+  (void)sched->weights_chain(spec.format, &built);
+  EXPECT_TRUE(built);
+
+  // The chain, hdchain and hybrid rows share the one the first built.
+  ScheduleCache chained(static_cast<std::size_t>(-1));
+  const ordering::RawChain* shared = nullptr;
+  for (const OrderingMode mode :
+       {OrderingMode::kChain, OrderingMode::kHdChain, OrderingMode::kHybrid}) {
+    run_rows(chained, {mode});
+    built = true;
+    const ordering::RawChain* chain =
+        &chained.get(spec)->weights_chain(spec.format, &built);
+    EXPECT_FALSE(built) << ordering::short_mode_name(mode);
+    if (!shared) shared = chain;
+    EXPECT_EQ(chain, shared) << ordering::short_mode_name(mode);
+  }
+
+  // A ragged layout orders per request: it has no stream to chain.
+  ScenarioSpec ragged = contended_spec();
+  ragged.generator = GeneratorKind::kReplay;
+  ragged.trace_path = payload_trace_path();
+  ScheduleCache ragged_cache(1);
+  const SharedSchedulePtr ragged_sched = ragged_cache.get(ragged);
+  ASSERT_FALSE(ragged_sched->derived(ragged.format).uniform);
+  EXPECT_THROW((void)ragged_sched->weights_chain(ragged.format),
+               std::logic_error);
 }
 
 TEST(ReplayDifferential, ScoringAShortPacketThrowsNamingIt) {
