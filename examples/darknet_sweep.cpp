@@ -1,11 +1,11 @@
 // darknet_sweep: paper-scale DarkNet-class model sweeps across NoC sizes
 // through the campaign engine — the Fig. 12/13 regime (large meshes, full
 // inferences, baseline-vs-ordered BT) that motivated the active-set
-// simulation engine. Each scenario runs two complete inferences of the
-// DarkNet-like conv stack (one O0 baseline, one under the selected
-// ordering) on its own network, and the report carries the BT reduction,
-// measured link energy/power, and the step-loop profile (wall-clock,
-// cycles, component skip ratio) per mesh.
+// simulation engine. Each mesh runs one O0 inference of the DarkNet-like
+// conv stack, which its mode rows share as their baseline, and one more
+// per non-O0 mode, each on its own network; the report carries the BT
+// reduction, measured link energy/power, and the step-loop profile
+// (wall-clock, cycles, component skip ratio) per mesh.
 //
 //   $ ./darknet_sweep                       # 8x8 / 12x12 / 16x16, fixed-8, O2
 //   $ ./darknet_sweep meshes=8x8mc4,16x16mc8 format=float32 mode=chain
@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,30 +33,13 @@
 
 using namespace nocbt;
 
-namespace {
-
-/// Reject unknown keys so a typo ('mesh=', 'formats=') fails loudly
-/// instead of silently running the default sweep.
-void check_known_keys(const Options& opts) {
-  static const std::set<std::string> known{
-      "meshes",  "format",     "mode",    "input",   "threads",
-      "seed",    "model_seed", "input_seed",         "engine",
-      "csv",     "json",       "profile", "progress"};
-  for (const auto& [key, value] : opts.values())
-    if (known.count(key) == 0)
-      throw std::invalid_argument("unknown option '" + key +
-                                  "' (see the header comment for the knobs)");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   try {
     const Options opts = Options::parse(argc, argv);
-    check_known_keys(opts);
-    const std::int64_t input_hw = opts.get_int("input", 64);
-    if (input_hw < 8 || input_hw > 512)
-      throw std::invalid_argument("input= must be in [8, 512]");
+    opts.check_keys({"meshes", "format", "mode", "input", "threads", "seed",
+                     "model_seed", "input_seed", "engine", "csv", "json",
+                     "profile", "progress"});
+    const std::int64_t input_hw = opts.get_bounded("input", 64, 8, 512);
 
     sim::CampaignSpec camp;
     camp.name = "darknet-sweep";
@@ -107,9 +89,8 @@ int main(int argc, char** argv) {
         noc::to_string(camp.base.engine));
 
     sim::RunnerConfig runner;
-    runner.threads = static_cast<unsigned>(opts.get_int("threads", 3));
-    if (runner.threads < 1 || runner.threads > 256)
-      throw std::invalid_argument("threads= must be in [1, 256]");
+    runner.threads =
+        static_cast<unsigned>(opts.get_bounded("threads", 3, 1, 256));
     if (opts.get_bool("progress", true)) {
       runner.on_result = [](const sim::ScenarioResult& row, std::size_t done,
                             std::size_t total) {

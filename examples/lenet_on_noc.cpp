@@ -19,9 +19,15 @@ using namespace nocbt;
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
-  const auto rows = static_cast<std::int32_t>(opts.get_int("rows", 4));
-  const auto cols = static_cast<std::int32_t>(opts.get_int("cols", 4));
-  const auto mcs = static_cast<std::int32_t>(opts.get_int("mcs", 2));
+  opts.check_keys({"rows", "cols", "mcs", "format", "mode", "seed"});
+  // The platform checks the mesh and MC rules; the bounds keep the casts
+  // exact.
+  const auto rows =
+      static_cast<std::int32_t>(opts.get_bounded("rows", 4, 0, 4096));
+  const auto cols =
+      static_cast<std::int32_t>(opts.get_bounded("cols", 4, 0, 4096));
+  const auto mcs =
+      static_cast<std::int32_t>(opts.get_bounded("mcs", 2, 0, 1 << 24));
   const DataFormat format =
       parse_data_format(opts.get_string("format", "fixed8"));
   const ordering::OrderingMode mode =

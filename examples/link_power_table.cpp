@@ -45,11 +45,16 @@ bool check_anchor(const char* label, double actual, double expected) {
 int main(int argc, char** argv) {
   try {
     const Options opts = Options::parse(argc, argv);
-    const auto rows = static_cast<std::int32_t>(opts.get_int("rows", 8));
-    const auto cols = static_cast<std::int32_t>(opts.get_int("cols", 8));
-    const auto packets =
-        static_cast<std::uint32_t>(opts.get_int("packets", 48));
-    const auto window = static_cast<std::uint32_t>(opts.get_int("window", 64));
+    opts.check_keys({"rows", "cols", "packets", "window", "mode", "rate",
+                     "energy_pj", "freq_mhz", "threads", "seed"});
+    const auto rows =
+        static_cast<std::int32_t>(opts.get_bounded("rows", 8, 1, 4096));
+    const auto cols =
+        static_cast<std::int32_t>(opts.get_bounded("cols", 8, 1, 4096));
+    const auto packets = static_cast<std::uint32_t>(
+        opts.get_bounded("packets", 48, 1, 100'000'000));
+    const auto window = static_cast<std::uint32_t>(
+        opts.get_bounded("window", 64, 1, 1'000'000));
     const std::string mode_name = opts.get_string("mode", "O2");
     const double energy_pj =
         hw::parse_energy_point(opts.get_string("energy_pj", "innovus"));
@@ -114,7 +119,7 @@ int main(int argc, char** argv) {
 
     sim::RunnerConfig runner;
     runner.threads =
-        static_cast<unsigned>(opts.get_int("threads", 2));
+        static_cast<unsigned>(opts.get_bounded("threads", 2, 1, 1024));
     const sim::CampaignResult result = sim::run_campaign(camp, runner);
 
     AsciiTable measured({"scenario", "O0 BT", "ordered BT", "reduction",

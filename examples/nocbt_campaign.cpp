@@ -74,20 +74,6 @@ using namespace nocbt;
 
 namespace {
 
-/// get_int with a range gate, so a negative or absurd value fails with a
-/// clear message instead of wrapping through an unsigned cast.
-std::int64_t get_bounded(const Options& opts, const std::string& key,
-                         std::int64_t fallback, std::int64_t lo,
-                         std::int64_t hi) {
-  const std::int64_t v = opts.get_int(key, fallback);
-  if (v < lo || v > hi)
-    throw std::invalid_argument("option '" + key + "' must be in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(v));
-  return v;
-}
-
 /// This binary's runner-only keys — how the sweep is executed and reported.
 /// The campaign-shaping keys live in sim::campaign_option_keys(), shared
 /// with nocbt_optimize and the tests so every front-end interprets them
@@ -129,7 +115,7 @@ int main(int argc, char** argv) {
 
     sim::RunnerConfig runner;
     runner.threads =
-        static_cast<unsigned>(get_bounded(opts, "threads", 4, 1, 1024));
+        static_cast<unsigned>(opts.get_bounded("threads", 4, 1, 1024));
     runner.exec = sim::execution_from_options(opts);
     if (opts.get_bool("progress", true)) {
       runner.on_result = [](const sim::ScenarioResult& row, std::size_t done,

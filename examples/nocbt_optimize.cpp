@@ -125,10 +125,8 @@ int main(int argc, char** argv) {
     opt::CoOptConfig config;
     config.optimizer = opts.get_string("optimizer", "anneal");
     config.seed = static_cast<std::uint64_t>(opts.get_int("opt_seed", 1));
-    const std::int64_t evals = opts.get_int("evals", 40);
-    if (evals < 0 || evals > 1'000'000)
-      throw std::invalid_argument("option 'evals' must be in [0, 1000000]");
-    config.max_evals = static_cast<std::uint32_t>(evals);
+    config.max_evals = static_cast<std::uint32_t>(
+        opts.get_bounded("evals", 40, 0, 1'000'000));
     config.sa_temp = opts.get_double("sa_temp", 0.0);
     config.sa_cooling = opts.get_double("sa_cool", 0.95);
 

@@ -49,9 +49,15 @@ std::vector<float> make_values(const std::string& dist, std::size_t n,
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
-  const auto n = static_cast<std::size_t>(opts.get_int("values", 65536));
-  const auto window = static_cast<std::size_t>(opts.get_int("window", 256));
-  const unsigned vpf = static_cast<unsigned>(opts.get_int("values_per_flit", 8));
+  opts.check_keys(
+      {"values", "window", "values_per_flit", "format", "dist", "seed"});
+  const auto n =
+      static_cast<std::size_t>(opts.get_bounded("values", 65536, 1, 1 << 24));
+  // A zero window or flit width is left to the library's own check.
+  const auto window =
+      static_cast<std::size_t>(opts.get_bounded("window", 256, 0, 1 << 24));
+  const unsigned vpf =
+      static_cast<unsigned>(opts.get_bounded("values_per_flit", 8, 0, 4096));
   const DataFormat format =
       parse_data_format(opts.get_string("format", "fixed8"));
 

@@ -21,12 +21,16 @@ using namespace nocbt;
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
-  const auto n = static_cast<std::size_t>(opts.get_int("values", 4096));
-  const auto window = static_cast<std::size_t>(opts.get_int("window", 256));
+  opts.check_keys({"values", "window", "format", "values_per_flit", "seed"});
+  const auto n =
+      static_cast<std::size_t>(opts.get_bounded("values", 4096, 1, 1 << 24));
+  // A zero window or flit width is left to the library's own check.
+  const auto window =
+      static_cast<std::size_t>(opts.get_bounded("window", 256, 0, 1 << 24));
   const DataFormat format =
       parse_data_format(opts.get_string("format", "fixed8"));
   const unsigned values_per_flit =
-      static_cast<unsigned>(opts.get_int("values_per_flit", 8));
+      static_cast<unsigned>(opts.get_bounded("values_per_flit", 8, 0, 4096));
 
   // A zero-concentrated value stream, like trained DNN weights.
   Rng rng(opts.get_int("seed", 1));

@@ -17,7 +17,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,25 +29,12 @@
 
 using namespace nocbt;
 
-namespace {
-
-void check_known_keys(const Options& opts) {
-  static const std::set<std::string> known{
-      "meshes",  "modes",   "format",  "placement", "tiles",
-      "window",  "threads", "seed",    "model_seed", "engine",
-      "csv",     "json",    "profile", "progress"};
-  for (const auto& [key, value] : opts.values())
-    if (known.count(key) == 0)
-      throw std::invalid_argument("unknown option '" + key +
-                                  "' (see the header comment for the knobs)");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   try {
     const Options opts = Options::parse(argc, argv);
-    check_known_keys(opts);
+    opts.check_keys({"meshes", "modes", "format", "placement", "tiles",
+                     "window", "threads", "seed", "model_seed", "engine",
+                     "csv", "json", "profile", "progress"});
 
     sim::CampaignSpec camp;
     camp.name = "resnet-placed-sweep";
@@ -57,8 +43,8 @@ int main(int argc, char** argv) {
     camp.formats = {parse_data_format(opts.get_string("format", "fixed8"))};
     camp.modes =
         ordering::parse_ordering_mode_list(opts.get_string("modes", "O1,O2"));
-    camp.windows = {
-        static_cast<std::uint32_t>(opts.get_int("window", 64))};
+    camp.windows = {static_cast<std::uint32_t>(
+        opts.get_bounded("window", 64, 1, 1'000'000))};
     camp.meshes.clear();
     for (const auto& m :
          split_csv_list(opts.get_string("meshes", "8x8mc4,16x16mc8")))
@@ -66,10 +52,8 @@ int main(int argc, char** argv) {
 
     camp.base.model = "resnet";
     camp.base.placement = opts.get_string("placement", "rowmajor");
-    const std::int64_t tiles = opts.get_int("tiles", 8);
-    if (tiles < 1 || tiles > (1 << 20))
-      throw std::invalid_argument("tiles= must be in [1, 2^20]");
-    camp.base.tiles_per_layer = static_cast<std::int32_t>(tiles);
+    camp.base.tiles_per_layer =
+        static_cast<std::int32_t>(opts.get_bounded("tiles", 8, 1, 1 << 20));
     camp.base.model_seed =
         static_cast<std::uint64_t>(opts.get_int("model_seed", 43));
     // Placement schedules are congestion-free on single-source phases, so
@@ -84,9 +68,8 @@ int main(int argc, char** argv) {
                 camp.base.tiles_per_layer);
 
     sim::RunnerConfig runner;
-    runner.threads = static_cast<unsigned>(opts.get_int("threads", 2));
-    if (runner.threads < 1 || runner.threads > 256)
-      throw std::invalid_argument("threads= must be in [1, 256]");
+    runner.threads =
+        static_cast<unsigned>(opts.get_bounded("threads", 2, 1, 256));
     if (opts.get_bool("progress", true)) {
       runner.on_result = [](const sim::ScenarioResult& row, std::size_t done,
                             std::size_t total) {

@@ -22,11 +22,17 @@ using namespace nocbt;
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
+  opts.check_keys({"out", "rows", "cols", "mcs", "seed"});
   const std::string out_path =
       opts.get_string("out", "/tmp/nocbt_traffic_trace.csv");
-  const auto rows = static_cast<std::int32_t>(opts.get_int("rows", 4));
-  const auto cols = static_cast<std::int32_t>(opts.get_int("cols", 4));
-  const auto mcs = static_cast<std::int32_t>(opts.get_int("mcs", 2));
+  // The platform checks the mesh and MC rules; the bounds keep the casts
+  // exact.
+  const auto rows =
+      static_cast<std::int32_t>(opts.get_bounded("rows", 4, 0, 4096));
+  const auto cols =
+      static_cast<std::int32_t>(opts.get_bounded("cols", 4, 0, 4096));
+  const auto mcs =
+      static_cast<std::int32_t>(opts.get_bounded("mcs", 2, 0, 1 << 24));
 
   Rng rng(opts.get_int("seed", 5));
   dnn::Sequential model;

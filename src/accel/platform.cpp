@@ -172,7 +172,6 @@ InferenceResult NocDnaPlatform::run(const dnn::Tensor& input) {
     const noc::WallTimer layer_timer;
     const std::uint64_t bt_at_start = net.bt().total();
     const std::uint64_t cycles_at_start = net.cycle();
-    const std::uint64_t flits_at_start = net.stats().flits_injected;
 
     // PEs round-robin over the task index; each task is served by the MC
     // nearest its PE (memory traffic comes from the closest controller, so
@@ -259,7 +258,6 @@ InferenceResult NocDnaPlatform::run(const dnn::Tensor& input) {
     layer_stats.cycles = net.cycle() - cycles_at_start;
     layer_stats.bt = net.bt().total() - bt_at_start;
     layer_stats.wall_ms = layer_timer.millis();
-    (void)flits_at_start;
     result.layers.push_back(std::move(layer_stats));
 
     // The PE computed only the MAC; the pre-activation tensor becomes the

@@ -101,6 +101,18 @@ std::int64_t Options::get_int(const std::string& key,
   }
 }
 
+std::int64_t Options::get_bounded(const std::string& key,
+                                  std::int64_t fallback, std::int64_t lo,
+                                  std::int64_t hi) const {
+  const std::int64_t v = get_int(key, fallback);
+  if (v < lo || v > hi)
+    throw std::invalid_argument("option '" + key + "' must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(v));
+  return v;
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -119,6 +131,17 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   throw std::invalid_argument("Options: '" + key + "' is not a bool: " + v);
+}
+
+void Options::check_keys(const std::set<std::string>& known) const {
+  for (const auto& [key, value] : values_)
+    if (known.count(key) == 0) {
+      std::string valid;
+      for (const std::string& k : known) valid += k + " ";
+      if (!valid.empty()) valid.pop_back();
+      throw std::invalid_argument("unknown option '" + key +
+                                  "' (valid keys: " + valid + ")");
+    }
 }
 
 }  // namespace nocbt

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,8 +50,19 @@ class Options {
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// get_int with a range gate, so a negative or absurd value fails with a
+  /// clear message instead of wrapping through an unsigned cast.
+  [[nodiscard]] std::int64_t get_bounded(const std::string& key,
+                                         std::int64_t fallback,
+                                         std::int64_t lo,
+                                         std::int64_t hi) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Throw std::invalid_argument on the first key outside `known`, listing
+  /// every valid key, so a typo ("mdoe=") fails loudly instead of leaving
+  /// its option at the default.
+  void check_keys(const std::set<std::string>& known) const;
 
   /// All parsed key/value pairs (for echoing the configuration).
   [[nodiscard]] const std::map<std::string, std::string>& values() const {

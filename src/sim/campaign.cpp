@@ -84,6 +84,10 @@ std::vector<ScenarioSpec> CampaignSpec::expand() const {
         for (std::size_t mi = 0; mi < meshes.size(); ++mi)
           for (std::size_t wi = 0; wi < windows.size(); ++wi)
             for (std::uint32_t rep = 0; rep < replicates; ++rep) {
+              // A model inference reads neither the window nor the seed,
+              // so its other windows and replicates would repeat it.
+              const bool model = generators[gi] == GeneratorKind::kModel;
+              if (model && (wi > 0 || rep > 0)) continue;
               const MeshSpec& mesh = meshes[mi];
               const std::uint64_t stream =
                   ((gi * formats.size() + fi) * meshes.size() + mi) *

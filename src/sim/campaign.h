@@ -46,11 +46,12 @@ struct MeshSpec {
 [[nodiscard]] std::string to_string(const MeshSpec& mesh);
 
 /// The canonical scenario name for one grid point, e.g.
-/// "uniform/fx8/O2/4x4mc2/w64". Every grid axis appears — even axes the
-/// workload ignores — so names are unique across an expansion (expand()
-/// additionally appends "/rN" when replicates > 1). Consumers that look
-/// rows up by name (bench/fig12_noc_sizes) build names through this
-/// helper rather than re-deriving the layout.
+/// "uniform/fx8/O2/4x4mc2/w64". Every grid axis appears — even the MC
+/// count synthetic traffic ignores, and the window a model row ignores
+/// (expand() gives it the first) — so names are unique across an
+/// expansion (expand() additionally appends "/rN" when replicates > 1).
+/// Consumers that look rows up by name (bench/fig12_noc_sizes) build
+/// names through this helper rather than re-deriving the layout.
 [[nodiscard]] std::string scenario_name(GeneratorKind generator,
                                         DataFormat format,
                                         ordering::OrderingMode mode,
@@ -88,7 +89,10 @@ struct CampaignSpec {
   ModelHooks hooks;   ///< required iff generators contains kModel
 
   /// The fully-expanded, deterministically-seeded scenario list, in grid
-  /// order (generator-major, replicate-minor).
+  /// order (generator-major, replicate-minor). A model inference reads
+  /// neither the window nor the seed, so model rows are emitted once per
+  /// (format, mode, mesh), with the first window and replicate 0's name
+  /// and seed.
   [[nodiscard]] std::vector<ScenarioSpec> expand() const;
 };
 
@@ -148,9 +152,10 @@ struct ExecutionStats {
   std::size_t assigned = 0;      ///< scenarios in this process's shard
   std::size_t simulated = 0;     ///< rows actually run by the engines
   /// Network (cycle-engine) simulations behind the simulated rows: one
-  /// per synthetic grid point that fell back to or forced a cycle engine
-  /// (per shard: each process times the points its rows carry), two per
-  /// model row (one for an O0 model row).
+  /// per grid point timed on a cycle engine — a synthetic point that fell
+  /// back to or forced one, or a model point's O0 inference — plus one per
+  /// non-O0 model row's own inference (per shard: each process times the
+  /// points its rows carry).
   std::size_t cycle_runs = 0;
   std::size_t cache_hits = 0;    ///< rows served by the scenario cache
   std::size_t journal_hits = 0;  ///< rows skipped via the resume journal

@@ -13,20 +13,6 @@ namespace nocbt::sim {
 
 namespace {
 
-/// get_int with a range gate, so a negative or absurd value fails with a
-/// clear message instead of wrapping through an unsigned cast.
-std::int64_t get_bounded(const Options& opts, const std::string& key,
-                         std::int64_t fallback, std::int64_t lo,
-                         std::int64_t hi) {
-  const std::int64_t v = opts.get_int(key, fallback);
-  if (v < lo || v > hi)
-    throw std::invalid_argument("option '" + key + "' must be in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(v));
-  return v;
-}
-
 /// Shortest decimal string that parses back (stod) to exactly `v` — the
 /// emission format every double-valued key uses, so an emitted spec file
 /// reconstructs bit-identical doubles.
@@ -75,16 +61,9 @@ const std::set<std::string>& campaign_service_option_keys() {
 
 void check_campaign_keys(const Options& opts,
                          const std::set<std::string>& extra) {
-  const std::set<std::string>& known = campaign_option_keys();
-  for (const auto& [key, value] : opts.values())
-    if (known.count(key) == 0 && extra.count(key) == 0) {
-      std::string valid;
-      for (const std::string& k : known) valid += k + " ";
-      for (const std::string& k : extra) valid += k + " ";
-      if (!valid.empty()) valid.pop_back();
-      throw std::invalid_argument("unknown option '" + key +
-                                  "' (valid keys: " + valid + ")");
-    }
+  std::set<std::string> known = campaign_option_keys();
+  known.insert(extra.begin(), extra.end());
+  opts.check_keys(known);
 }
 
 ExecutionConfig execution_from_options(const Options& opts) {
@@ -101,7 +80,7 @@ CampaignSpec campaign_from_options(const Options& opts) {
   camp.name = opts.get_string("name", "campaign");
   camp.root_seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
   camp.replicates =
-      static_cast<std::uint32_t>(get_bounded(opts, "replicates", 1, 1, 1024));
+      static_cast<std::uint32_t>(opts.get_bounded("replicates", 1, 1, 1024));
 
   camp.generators.clear();
   for (const auto& g : split_csv_list(opts.get_string("generators", "uniform")))
@@ -131,15 +110,15 @@ CampaignSpec campaign_from_options(const Options& opts) {
 
   ScenarioSpec& base = camp.base;
   base.packets = static_cast<std::uint32_t>(
-      get_bounded(opts, "packets", 128, 1, 100'000'000));
+      opts.get_bounded("packets", 128, 1, 100'000'000));
   base.injection_rate = opts.get_double("rate", 0.25);
-  base.num_vcs = static_cast<std::int32_t>(get_bounded(opts, "vcs", 4, 1, 64));
+  base.num_vcs = static_cast<std::int32_t>(opts.get_bounded("vcs", 4, 1, 64));
   base.vc_buffer_depth =
-      static_cast<std::int32_t>(get_bounded(opts, "vc_depth", 4, 1, 1024));
+      static_cast<std::int32_t>(opts.get_bounded("vc_depth", 4, 1, 1024));
   base.values_per_flit =
-      static_cast<unsigned>(get_bounded(opts, "slots", 16, 2, 4096));
+      static_cast<unsigned>(opts.get_bounded("slots", 16, 2, 4096));
   base.fixed_bits =
-      static_cast<unsigned>(get_bounded(opts, "fixed_bits", 8, 2, 8));
+      static_cast<unsigned>(opts.get_bounded("fixed_bits", 8, 2, 8));
   base.value_dist = parse_value_dist(opts.get_string("dist", "laplace"));
   base.dist_a = opts.get_double(
       "dist_a", base.value_dist == ValueDist::kUniform ? -1.0 : 0.0);
@@ -147,11 +126,11 @@ CampaignSpec campaign_from_options(const Options& opts) {
       "dist_b", base.value_dist == ValueDist::kUniform ? 1.0 : 0.2);
   base.hotspot_fraction = opts.get_double("hotspot_fraction", 0.5);
   base.hotspot_node = static_cast<std::int32_t>(
-      get_bounded(opts, "hotspot_node", -1, -1, 1 << 24));
+      opts.get_bounded("hotspot_node", -1, -1, 1 << 24));
   base.burst_len = static_cast<std::uint32_t>(
-      get_bounded(opts, "burst_len", 8, 1, 1'000'000));
+      opts.get_bounded("burst_len", 8, 1, 1'000'000));
   base.burst_gap = static_cast<std::uint32_t>(
-      get_bounded(opts, "burst_gap", 64, 0, 1'000'000'000));
+      opts.get_bounded("burst_gap", 64, 0, 1'000'000'000));
   base.trace_path = opts.get_string("trace", "");
   base.energy_per_transition_pj =
       hw::parse_energy_point(opts.get_string("energy_pj", "innovus"));
@@ -165,9 +144,9 @@ CampaignSpec campaign_from_options(const Options& opts) {
   base.model = opts.get_string("model", "lenet");
   base.placement = opts.get_string("placement", "rowmajor");
   base.tiles_per_layer = static_cast<std::int32_t>(
-      get_bounded(opts, "tiles_per_layer", 4, 1, 1 << 20));
+      opts.get_bounded("tiles_per_layer", 4, 1, 1 << 20));
   base.max_cycles = static_cast<std::uint64_t>(
-      get_bounded(opts, "max_cycles", 5'000'000, 1, std::int64_t{1} << 62));
+      opts.get_bounded("max_cycles", 5'000'000, 1, std::int64_t{1} << 62));
 
   // Model workload: a small trained-like LeNet (no training — the weight
   // distribution is what matters for BT). Heavyweight trained models go

@@ -140,7 +140,8 @@ void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
   h.add(spec.burst_gap);
   h.add(spec.num_mcs);
   h.add(spec.model_seed);
-  if (!timing_only) h.add(spec.input_seed);
+  if (!timing_only || spec.generator == GeneratorKind::kModel)
+    h.add(spec.input_seed);
   h.add(spec.model);
   h.add(spec.placement);
   h.add(spec.tiles_per_layer);

@@ -45,10 +45,11 @@ struct ContentKey {
 
 /// Feed every ScenarioSpec field a row depends on, except its name and
 /// trace_path, into `h` in scenario_content_key's order. With
-/// `timing_only`, skip the four a row reads but its schedule and timing
-/// run never do — mode, input_seed, energy_per_transition_pj and
-/// frequency_mhz — for the ScheduleCache key: rows differing only in those
-/// share one materialization and one timing run.
+/// `timing_only`, skip the fields a row reads but its schedule and timing
+/// run never do — mode, energy_per_transition_pj, frequency_mhz and, for a
+/// synthetic spec, input_seed (a model's O0 inference reads it) — for the
+/// ScheduleCache key: rows differing only in those share one
+/// materialization and one timing run.
 void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
                       bool timing_only);
 

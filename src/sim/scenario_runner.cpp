@@ -120,8 +120,9 @@ noc::FlatPayloads build_flat_payloads(const SharedSchedule& sched,
 }
 
 SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
-  auto gen = make_generator(spec);
   auto schedule = std::make_shared<SharedSchedule>();
+  if (spec.generator == GeneratorKind::kModel) return schedule;
+  auto gen = make_generator(spec);
   while (auto req = gen->next()) schedule->requests.push_back(std::move(*req));
   return schedule;
 }
@@ -232,11 +233,53 @@ bool run_analytical_timing(const ScenarioSpec& spec,
   return true;
 }
 
-/// Build a synthetic grid point's Timing: flitize the O0 payloads, try the
-/// analytical engine under auto (or when forced), fall back to the cycle
-/// engine — the only place a synthetic row constructs an engine.
-void build_timing(const ScenarioSpec& spec, const SharedSchedule& schedule,
+/// Full DNN inference through the accelerator platform (model workloads).
+RunOutcome run_model_variant(const ScenarioSpec& spec,
+                             ordering::OrderingMode mode,
+                             const ModelHooks& hooks) {
+  if (!hooks.model || !hooks.input)
+    throw std::invalid_argument(
+        "run_scenario: model workload needs CampaignSpec::hooks");
+  const noc::WallTimer timer;
+  accel::AccelConfig cfg = accel::AccelConfig::defaults(
+      spec.format, mode, spec.rows, spec.cols, spec.num_mcs);
+  cfg.fixed_bits = spec.fixed_bits;
+  cfg.noc = spec.noc_config();  // mesh, VCs, values_per_flit slots
+  cfg.noc.allow_self_traffic = true;  // MCs self-deliver result packets
+  // Model workloads inject reactively and always need a cycle engine
+  // (validate() rejects forcing analytical on them).
+  if (cfg.noc.engine == noc::SimEngine::kAnalytical)
+    cfg.noc.engine = noc::SimEngine::kActiveSet;
+  dnn::Sequential model = hooks.model(spec.model_seed);
+  accel::NocDnaPlatform platform(cfg, model);
+  accel::InferenceResult result = platform.run(hooks.input(spec.input_seed));
+
+  RunOutcome out;
+  out.bt = result.bt_total;
+  out.cycles = result.total_cycles;
+  out.packets = result.noc_stats.packets_delivered;
+  out.flits = result.noc_stats.flits_delivered;
+  out.avg_latency = result.noc_stats.packet_latency.mean();
+  out.avg_hops = result.noc_stats.packet_hops.mean();
+  out.drained = true;
+  out.sim = result.noc_stats.sim;
+  out.links = std::move(result.links);
+  out.wall_ms = timer.millis();
+  return out;
+}
+
+/// Build a grid point's Timing. A model point runs its O0 inference. A
+/// synthetic point flitizes the O0 payloads, tries the analytical engine
+/// under auto (or when forced) and falls back to the cycle engine — the
+/// only place a synthetic row constructs an engine.
+void build_timing(const ScenarioSpec& spec, const ModelHooks& hooks,
+                  const SharedSchedule& schedule,
                   SharedSchedule::Timing& timing) {
+  if (spec.generator == GeneratorKind::kModel) {
+    timing.baseline =
+        run_model_variant(spec, ordering::OrderingMode::kBaseline, hooks);
+    return;
+  }
   const accel::FlitLayout layout = flit_layout(spec);
   PayloadBatch payloads;
   payloads.reserve(schedule.requests.size());
@@ -264,41 +307,6 @@ void build_timing(const ScenarioSpec& spec, const SharedSchedule& schedule,
     cyc.engine = noc::SimEngine::kActiveSet;
   timing.baseline = run_cycle_timing(cyc, schedule.requests,
                                      std::move(payloads), timing.order);
-}
-
-/// Full DNN inference through the accelerator platform (model workloads).
-RunOutcome run_model_variant(const ScenarioSpec& spec,
-                             ordering::OrderingMode mode,
-                             const ModelHooks& hooks, bool want_links) {
-  if (!hooks.model || !hooks.input)
-    throw std::invalid_argument(
-        "run_scenario: model workload needs CampaignSpec::hooks");
-  const noc::WallTimer timer;
-  accel::AccelConfig cfg = accel::AccelConfig::defaults(
-      spec.format, mode, spec.rows, spec.cols, spec.num_mcs);
-  cfg.fixed_bits = spec.fixed_bits;
-  cfg.noc = spec.noc_config();  // mesh, VCs, values_per_flit slots
-  cfg.noc.allow_self_traffic = true;  // MCs self-deliver result packets
-  // Model workloads inject reactively and always need a cycle engine
-  // (validate() rejects forcing analytical on them).
-  if (cfg.noc.engine == noc::SimEngine::kAnalytical)
-    cfg.noc.engine = noc::SimEngine::kActiveSet;
-  dnn::Sequential model = hooks.model(spec.model_seed);
-  accel::NocDnaPlatform platform(cfg, model);
-  accel::InferenceResult result = platform.run(hooks.input(spec.input_seed));
-
-  RunOutcome out;
-  out.bt = result.bt_total;
-  out.cycles = result.total_cycles;
-  out.packets = result.noc_stats.packets_delivered;
-  out.flits = result.noc_stats.flits_delivered;
-  out.avg_latency = result.noc_stats.packet_latency.mean();
-  out.avg_hops = result.noc_stats.packet_hops.mean();
-  out.drained = true;
-  out.sim = result.noc_stats.sim;
-  if (want_links) out.links = std::move(result.links);
-  out.wall_ms = timer.millis();
-  return out;
 }
 
 /// The ordered mode's outcome for a synthetic row: its timing, and BT and
@@ -416,6 +424,7 @@ const ordering::RawChain& SharedSchedule::weights_chain(DataFormat format,
 }
 
 const SharedSchedule::Timing& SharedSchedule::timing(const ScenarioSpec& spec,
+                                                     const ModelHooks& hooks,
                                                      bool* built) const {
   const std::string key = schedule_key(spec);
   bool ran = false;
@@ -423,7 +432,7 @@ const SharedSchedule::Timing& SharedSchedule::timing(const ScenarioSpec& spec,
     // A throwing run is recorded, not retried: every row of the grid
     // point reports the same failure.
     try {
-      build_timing(spec, *this, timing_);
+      build_timing(spec, hooks, *this, timing_);
     } catch (...) {
       timing_.error = std::current_exception();
     }
@@ -454,8 +463,7 @@ void ScheduleCache::use(const std::string& key) {
 }
 
 void ScheduleCache::count_rows() {
-  for (const ScenarioSpec* spec : rows_)
-    if (spec->generator != GeneratorKind::kModel) ++uses_[schedule_key(*spec)];
+  for (const ScenarioSpec* spec : rows_) ++uses_[schedule_key(*spec)];
   rows_.clear();
   for (const ScenarioSpec* spec : skipped_) {
     const std::string key = schedule_key(*spec);
@@ -520,43 +528,35 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
     spec.validate();
     const bool baseline_is_ordered =
         spec.mode == ordering::OrderingMode::kBaseline;
-    if (spec.generator == GeneratorKind::kModel) {
-      // Model workloads inject reactively, so their payloads steer their
-      // own timing: both variants run. Per-link rows come from the
-      // ordered run only.
-      const RunOutcome baseline =
-          run_model_variant(spec, ordering::OrderingMode::kBaseline, hooks,
-                            baseline_is_ordered);
+    // With a cache every mode row of this grid point shares the schedule,
+    // the derived batched-ordering inputs and the timing.
+    const SharedSchedulePtr schedule =
+        schedules ? schedules->get(spec) : materialize_schedule(spec);
+    // A model row's own inference: its mode may change its flit counts,
+    // so it cannot replay the O0 run. It runs before the row waits on
+    // the timing another worker may be building.
+    RunOutcome own;
+    const bool model = spec.generator == GeneratorKind::kModel;
+    if (model && !baseline_is_ordered) {
+      own = run_model_variant(spec, spec.mode, hooks);
       runs = 1;
-      if (baseline_is_ordered) {
-        assemble_row(result, baseline, baseline);
-      } else {
-        const RunOutcome ordered =
-            run_model_variant(spec, spec.mode, hooks, true);
-        runs = 2;
-        assemble_row(result, baseline, ordered);
-      }
-    } else {
-      // With a cache every mode row of this traffic stream shares the
-      // schedule, the derived batched-ordering inputs and the timing.
-      const SharedSchedulePtr schedule =
-          schedules ? schedules->get(spec) : materialize_schedule(spec);
-      bool built = false;
-      const SharedSchedule::Timing& timing = schedule->timing(spec, &built);
-      if (built && !timing.error &&
-          timing.baseline.sim.engine != noc::SimEngine::kAnalytical)
-        runs = 1;
-      result.engine_reason = timing.engine_reason;
-      if (timing.error) std::rethrow_exception(timing.error);
-      if (baseline_is_ordered)
-        assemble_row(result, timing.baseline, timing.baseline);
-      else
-        assemble_row(result, timing.baseline,
-                     score_ordered(spec, *schedule, timing));
-      // The timing run's wall clock is charged to the row that ran it.
-      if (!built) result.wall_ms_baseline = 0.0;
-      if (baseline_is_ordered) result.wall_ms_ordered = result.wall_ms_baseline;
     }
+    bool built = false;
+    const SharedSchedule::Timing& timing =
+        schedule->timing(spec, hooks, &built);
+    if (built && !timing.error &&
+        timing.baseline.sim.engine != noc::SimEngine::kAnalytical)
+      ++runs;
+    result.engine_reason = timing.engine_reason;
+    if (timing.error) std::rethrow_exception(timing.error);
+    if (baseline_is_ordered)
+      assemble_row(result, timing.baseline, timing.baseline);
+    else
+      assemble_row(result, timing.baseline,
+                   model ? own : score_ordered(spec, *schedule, timing));
+    // The timing run's wall clock is charged to the row that ran it.
+    if (!built) result.wall_ms_baseline = 0.0;
+    if (baseline_is_ordered) result.wall_ms_ordered = result.wall_ms_baseline;
   } catch (const std::exception& e) {
     result.error = e.what();
   }

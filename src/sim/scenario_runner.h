@@ -4,18 +4,19 @@
 // the unit below the executor — it knows nothing about grids, shards,
 // journals or persistent caching; it measures exactly one ScenarioSpec.
 //
-// Time once, score many. A synthetic grid point — every mode row of one
-// traffic stream — is simulated once, with O0 payloads, through the
-// spec's engine: under engine=auto the zero-load analytical backend when
-// it proves the schedule exact, the requested cycle engine otherwise.
-// That run yields the O0 row and records every link's wire order.
-// Ordering only permutes values inside a packet, so every other mode
-// crosses each link in that same order: its row takes the run's timing
-// (cycles, transport stats, SimProfile) and scores its own payloads by
-// replaying them over the recorded order (noc::score_wire_order). Model
-// scenarios run full inferences through NocDnaPlatform instead, twice
-// (O0 and the mode), which is how bench/fig12_noc_sizes reproduces its
-// paper figure through this engine.
+// Time once, score many. A grid point — every mode row of one traffic
+// stream — runs its O0 baseline once. A synthetic point is simulated with
+// O0 payloads through the spec's engine: under engine=auto the zero-load
+// analytical backend when it proves the schedule exact, the requested
+// cycle engine otherwise. That run yields the O0 row and records every
+// link's wire order. Ordering only permutes values inside a packet, so
+// every other mode crosses each link in that same order: its row takes
+// the run's timing (cycles, transport stats, SimProfile) and scores its
+// own payloads by replaying them over the recorded order
+// (noc::score_wire_order). A model point's baseline is one O0 inference
+// through NocDnaPlatform; each other mode row runs its own inference,
+// since a mode can change a model run's flit counts. That is how
+// bench/fig12_noc_sizes reproduces its paper figure through this engine.
 
 #include <cstdint>
 #include <exception>
@@ -66,8 +67,9 @@ struct RunOutcome {
 ///     candidate ordering) score every window of the scenario;
 ///   - the weights stream's raw greedy chain, the order_batch hint of the
 ///     chain, hdchain and hybrid rows, built when the first of them asks;
-///   - the timing block: the grid point's one NoC run.
-/// The request list is immutable after materialization.
+///   - the timing block: the grid point's one O0 run.
+/// The request list is immutable after materialization; a model spec's is
+/// empty, since its inferences make their own traffic.
 struct SharedSchedule {
   InjectionSchedule requests;
 
@@ -102,12 +104,13 @@ struct SharedSchedule {
   [[nodiscard]] const ordering::RawChain& weights_chain(
       DataFormat format, bool* built = nullptr) const;
 
-  /// The grid point's one NoC run: O0 payloads through the spec's engine,
-  /// recording the wire order. Holds no payloads — only the O0 outcome
-  /// and the delta-coded wire order (a byte or two per flit-crossing).
+  /// The grid point's one O0 run: for a synthetic point, O0 payloads
+  /// through the spec's engine, recording the wire order; for a model
+  /// point, the O0 inference. Holds no payloads — only the O0 outcome and
+  /// the delta-coded wire order (a byte or two per flit-crossing).
   struct Timing {
     RunOutcome baseline;   ///< the O0 run; links included
-    noc::WireOrder order;  ///< every link's flit sequence; empty unless drained
+    noc::WireOrder order;  ///< every link's flit sequence (synthetic, drained)
     /// Why engine=auto fell back to a cycle engine: the analytical
     /// backend's first clashing link and cycle, or its unsupported-config
     /// reason. Empty when it did not fall back.
@@ -116,12 +119,13 @@ struct SharedSchedule {
   };
 
   /// Timing block, built exactly once (thread-safe: the first caller runs
-  /// it, concurrent callers wait) for the spec of the first call. The
-  /// schedule cache key pins every field the run reads, so a later call
-  /// whose spec keys differently is a caller bug: it throws
-  /// std::logic_error. `built` (may be null) is set to whether this call
-  /// ran it.
+  /// it, concurrent callers wait) for the spec and hooks of the first
+  /// call; only a model spec reads `hooks`. The schedule cache key pins
+  /// every spec field the run reads, so a later call whose spec keys
+  /// differently is a caller bug: it throws std::logic_error. `built` (may
+  /// be null) is set to whether this call ran it.
   [[nodiscard]] const Timing& timing(const ScenarioSpec& spec,
+                                     const ModelHooks& hooks,
                                      bool* built = nullptr) const;
 
  private:
@@ -138,11 +142,13 @@ struct SharedSchedule {
 using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 
 /// Campaign-scoped schedule store: specs that share every knob the
-/// schedule and its timing run read (all mode rows of one traffic stream —
+/// schedule and its timing run read (all mode rows of one grid point —
 /// expand() derives their seeds mode-independently) generate their
 /// schedule once, and with it the SharedSchedule::Derived ordering inputs
-/// and the Timing block. Thread-safe; the first worker to request a key
-/// materializes it while later workers block on the shared future.
+/// and the Timing block. Model specs are keyed and counted like the rest;
+/// the key leaves out the model hooks, so one cache serves one campaign's
+/// hooks. Thread-safe; the first worker to request a key materializes it
+/// while later workers block on the shared future.
 /// To bound campaign memory, an entry is dropped once every row expected
 /// to carry its key has either looked it up (get) or been served without
 /// simulating (skip).
@@ -152,10 +158,9 @@ class ScheduleCache {
   explicit ScheduleCache(std::size_t uses_per_key)
       : uses_per_key_(uses_per_key < 1 ? 1 : uses_per_key) {}
 
-  /// Each key is expected once per synthetic spec in `rows` that carries
-  /// it — the rows one process runs, e.g. a shard's slice of the grid.
-  /// Model specs never look up and are not counted. The specs must
-  /// outlive the cache: they are keyed at the first get(), so a sweep
+  /// Each key is expected once per spec in `rows` that carries it — the
+  /// rows one process runs, e.g. a shard's slice of the grid. The specs
+  /// must outlive the cache: they are keyed at the first get(), so a sweep
   /// served entirely without simulating keys none of them.
   explicit ScheduleCache(std::vector<const ScenarioSpec*> rows)
       : uses_per_key_(1), rows_(std::move(rows)) {}
@@ -198,10 +203,10 @@ class ScheduleCache {
 
 /// run_scenario sharing a campaign-scoped ScheduleCache (may be null) —
 /// the executor's per-row entry point. `cycle_runs` (may be null) is set
-/// to the Network simulations this call ran: 1 when it built its grid
-/// point's timing on a cycle engine, 0 when it reused one, the analytical
-/// engine served it or the timing run threw, two per model row (one for
-/// an O0 model row).
+/// to the Network simulations this call ran: one when it built its grid
+/// point's timing on a cycle engine (none when it reused one, the
+/// analytical engine served it or the timing run threw), plus one for a
+/// non-O0 model row's own inference.
 [[nodiscard]] ScenarioResult run_scenario_shared(
     const ScenarioSpec& spec, const ModelHooks& hooks,
     ScheduleCache* schedules, std::size_t* cycle_runs = nullptr);

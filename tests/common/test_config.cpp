@@ -67,6 +67,30 @@ TEST(Options, GetIntRejectsTrailingGarbage) {
   EXPECT_EQ(opts.get_int("missing", 5), 5);
 }
 
+TEST(Options, GetBoundedRejectsValuesOutsideTheRange) {
+  // A negative count cast to size_t would wrap to 2^64 - 1.
+  const Options opts = parse_args({"window=-1", "values=64"});
+  EXPECT_EQ(opts.get_bounded("values", 8, 1, 64), 64);
+  EXPECT_EQ(opts.get_bounded("missing", 8, 1, 64), 8);
+  try {
+    (void)opts.get_bounded("window", 256, 0, 4096);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "option 'window' must be in [0, 4096], got -1");
+  }
+}
+
+TEST(Options, CheckKeysNamesTheUnknownKeyAndEveryValidOne) {
+  const Options opts = parse_args({"mdoe=O2", "rows=4"});
+  EXPECT_NO_THROW(opts.check_keys({"mdoe", "rows"}));
+  try {
+    opts.check_keys({"mode", "rows"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown option 'mdoe' (valid keys: mode rows)");
+  }
+}
+
 TEST(Options, GetDoubleRejectsTrailingGarbage) {
   const Options opts = parse_args({"rate=0.5x", "exp=1e3junk", "ok=0.25",
                                    "sci=1e-3", "empty="});

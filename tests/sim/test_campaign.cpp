@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "sim/campaign.h"
@@ -92,9 +93,9 @@ TEST(Campaign, ExpansionCoversTheGridDeterministically) {
 }
 
 TEST(Campaign, NamesStayUniqueAcrossIgnoredAxes) {
-  // mcs is meaningless for synthetic traffic and window for model
-  // workloads, but both must still appear in names or grid points that
-  // differ only on an ignored axis would collide.
+  // mcs is meaningless for synthetic traffic, but it must still appear in
+  // names or grid points that differ only on it would collide. Model rows
+  // ignore the window: expand() gives them the first, once each.
   CampaignSpec camp = small_campaign();
   camp.generators = {GeneratorKind::kUniform, GeneratorKind::kModel};
   camp.formats = {DataFormat::kFixed8};
@@ -105,6 +106,37 @@ TEST(Campaign, NamesStayUniqueAcrossIgnoredAxes) {
   std::set<std::string> names;
   for (const auto& s : scenarios) names.insert(s.name);
   EXPECT_EQ(names.size(), scenarios.size());
+}
+
+TEST(Campaign, ModelRowsIgnoreWindowsAndReplicates) {
+  // An inference reads neither the window nor the seed, so each model row
+  // is expanded once, with the first window and replicate 0's name and
+  // seed; the uniform rows beside it keep both axes.
+  CampaignSpec camp = small_campaign();
+  camp.root_seed = 42;
+  camp.generators = {GeneratorKind::kModel, GeneratorKind::kUniform};
+  camp.formats = {DataFormat::kFixed8};
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kSeparated};
+  camp.windows = {32, 64};
+  camp.replicates = 2;
+  std::vector<std::string> model_rows;
+  std::size_t uniform_rows = 0;
+  for (const ScenarioSpec& s : camp.expand()) {
+    if (s.generator == GeneratorKind::kUniform) {
+      ++uniform_rows;
+      continue;
+    }
+    model_rows.push_back(s.name);
+    EXPECT_EQ(s.window, 32u);
+    // Grid position 0's seed under root seed 42, as before model rows
+    // dropped their other windows and replicates.
+    EXPECT_EQ(s.seed, 13679457532755275413ull) << s.name;
+  }
+  const std::vector<std::string> expected{"model/fx8/O0/4x4mc2/w32/r0",
+                                          "model/fx8/O2/4x4mc2/w32/r0"};
+  EXPECT_EQ(model_rows, expected);
+  EXPECT_EQ(uniform_rows, 2u * 2u * 2u);
 }
 
 TEST(Campaign, ReplicatesGetDistinctSeeds) {
@@ -525,7 +557,7 @@ TEST(SharedSchedule, TimingRunsOnceAndRejectsAnotherSpec) {
   spec.name = "timing";
   spec.format = DataFormat::kFixed8;
   bool built = false;
-  const SharedSchedule::Timing& timing = sched.timing(spec, &built);
+  const SharedSchedule::Timing& timing = sched.timing(spec, {}, &built);
   EXPECT_TRUE(built);
   ASSERT_FALSE(timing.error);
   EXPECT_TRUE(timing.baseline.drained);
@@ -537,11 +569,11 @@ TEST(SharedSchedule, TimingRunsOnceAndRejectsAnotherSpec) {
 
   ScenarioSpec other_mode = spec;
   other_mode.mode = ordering::OrderingMode::kHybrid;
-  EXPECT_EQ(&sched.timing(other_mode, &built), &timing);
+  EXPECT_EQ(&sched.timing(other_mode, {}, &built), &timing);
   EXPECT_FALSE(built);
   ScenarioSpec other_vcs = spec;
   other_vcs.num_vcs = 2;
-  EXPECT_THROW((void)sched.timing(other_vcs), std::logic_error);
+  EXPECT_THROW((void)sched.timing(other_vcs, {}), std::logic_error);
 }
 
 ScenarioSpec uniform_4x4(double rate) {
@@ -583,6 +615,20 @@ TEST(ScheduleCache, KeysEveryKnobTheTimingRunReads) {
   shared.energy_per_transition_pj = 0.532;
   ScheduleCache cache(2);
   EXPECT_EQ(cache.get(base).get(), cache.get(shared).get());
+
+  // A model spec's timing run is its O0 inference, which reads the input
+  // seed; its schedule is empty.
+  ScenarioSpec model;
+  model.generator = GeneratorKind::kModel;
+  ScenarioSpec other_input = model;
+  other_input.input_seed = 99;
+  ScheduleCache models(2);
+  const SharedSchedulePtr first = models.get(model);
+  EXPECT_TRUE(first->requests.empty());
+  EXPECT_NE(first.get(), models.get(other_input).get());
+  ScenarioSpec model_o2 = model;
+  model_o2.mode = ordering::OrderingMode::kSeparated;
+  EXPECT_EQ(first.get(), models.get(model_o2).get());
 }
 
 TEST(ScheduleCache, RowOnlyFieldsShareOneScheduleAndOneTimingRun) {
@@ -602,7 +648,7 @@ TEST(ScheduleCache, RowOnlyFieldsShareOneScheduleAndOneTimingRun) {
     if (!shared) shared = schedule.get();
     EXPECT_EQ(schedule.get(), shared);
     bool built = false;
-    ASSERT_FALSE(schedule->timing(row, &built).error);
+    ASSERT_FALSE(schedule->timing(row, {}, &built).error);
     if (built) ++timing_runs;
   }
   EXPECT_EQ(timing_runs, 1u);
@@ -624,6 +670,17 @@ TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
   // another lookup materializes afresh; `other` still expects no more.
   EXPECT_NE(cache.get(o0).get(), first.get());
   EXPECT_NE(cache.get(other).get(), kept.get());
+
+  // A model grid point is keyed and counted like any other.
+  ScenarioSpec model_o0;
+  model_o0.generator = GeneratorKind::kModel;
+  ScenarioSpec model_o2 = model_o0;
+  model_o2.mode = ordering::OrderingMode::kSeparated;
+  ScheduleCache models(
+      std::vector<const ScenarioSpec*>{&model_o0, &o0, &model_o2});
+  const SharedSchedulePtr model_first = models.get(model_o0);
+  EXPECT_EQ(models.get(model_o2).get(), model_first.get());
+  EXPECT_NE(models.get(model_o0).get(), model_first.get());
 
   // A row served before any lookup leaves the schedule to the row that
   // simulates.
@@ -668,7 +725,10 @@ TEST(Campaign, CountsOneCycleRunPerGridPoint) {
   }
 }
 
-TEST(Campaign, ModelRowsStillRunTwice) {
+TEST(Campaign, ModelGridPointRunsItsBaselineOnce) {
+  // A model grid point's O0 inference is its timing: the O0 row reuses it,
+  // and every other mode row runs only its own inference, because a mode
+  // can change a model run's flit counts.
   Options opts;
   CampaignSpec camp = campaign_from_options(opts);
   camp.generators = {GeneratorKind::kModel};
@@ -676,10 +736,26 @@ TEST(Campaign, ModelRowsStillRunTwice) {
   camp.modes = {ordering::OrderingMode::kBaseline,
                 ordering::OrderingMode::kSeparated};
   camp.meshes = {MeshSpec{4, 4, 2}};
-  const CampaignResult result = run_campaign(camp);
-  for (const ScenarioResult& row : result.rows)
-    ASSERT_TRUE(row.error.empty()) << row.error;
-  EXPECT_EQ(result.stats.cycle_runs, 3u);  // O0 once, O2 twice
+  EXPECT_EQ(run_campaign(camp).stats.cycle_runs, 2u);
+
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kAffiliated,
+                ordering::OrderingMode::kSeparated};
+  std::vector<ScenarioResult> alone;
+  for (const ScenarioSpec& spec : camp.expand())
+    alone.push_back(run_scenario(spec, camp.hooks));
+  for (const std::size_t threads : {1u, 4u}) {
+    RunnerConfig runner;
+    runner.threads = threads;
+    const CampaignResult result = run_campaign(camp, runner);
+    EXPECT_EQ(result.stats.cycle_runs, 3u) << threads << " threads";
+    ASSERT_EQ(result.rows.size(), alone.size());
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      ASSERT_TRUE(result.rows[i].error.empty()) << result.rows[i].error;
+      EXPECT_TRUE(result.rows[i] == alone[i])
+          << alone[i].spec.name << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(Campaign, ModelRowsHonorFixedBitsAndSlots) {

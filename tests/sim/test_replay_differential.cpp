@@ -419,7 +419,7 @@ TEST(ReplayDifferential, SingleScenarioCachedSharesOneTiming) {
     // again runs nothing and hands back the same block.
     bool built = true;
     const SharedSchedule::Timing* timing =
-        &schedules.get(spec)->timing(spec, &built);
+        &schedules.get(spec)->timing(spec, {}, &built);
     EXPECT_FALSE(built) << ordering::short_mode_name(mode);
     if (!shared) shared = timing;
     EXPECT_EQ(timing, shared) << ordering::short_mode_name(mode);
