@@ -49,6 +49,9 @@ const sim::ScenarioResult& find_row(const sim::CampaignResult& result,
 
 int main(int argc, char** argv) try {
   const Options opts = Options::parse(argc, argv);
+  opts.check_keys({"modes", "threads"});
+  const auto threads =
+      static_cast<unsigned>(opts.get_bounded("threads", 4, 1, 1024));
   const std::vector<OrderingMode> modes =
       ordering::parse_ordering_mode_list(opts.get_string("modes", "O1,O2"));
 
@@ -75,7 +78,7 @@ int main(int argc, char** argv) try {
   };
 
   sim::RunnerConfig runner;
-  runner.threads = static_cast<unsigned>(opts.get_int("threads", 4));
+  runner.threads = threads;
   const sim::CampaignResult result = sim::run_campaign(camp, runner);
 
   for (DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {

@@ -11,12 +11,12 @@
 // future changes have a regression trajectory to compare against. No
 // google-benchmark dependency, so it is always built.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json_writer.h"
@@ -300,15 +300,29 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::size_t window_values = 32;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    const std::string_view arg = argv[i];
+    if ((arg == "--json" || arg == "--window") && i + 1 == argc) {
+      std::fprintf(stderr, "micro_ordering: %s needs a value\n", argv[i]);
+      return 2;
+    }
+    if (arg == "--json") {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      if (parsed < 2 || parsed > 1'000'000) {
-        std::fprintf(stderr, "micro_ordering: --window must be in [2, 1e6]\n");
-        return 1;
+    } else if (arg == "--window") {
+      const std::string_view text = argv[++i];
+      const auto [ptr, ec] = std::from_chars(
+          text.data(), text.data() + text.size(), window_values);
+      if (ec != std::errc{} || ptr != text.data() + text.size() ||
+          window_values < 2 || window_values > 1'000'000) {
+        std::fprintf(stderr,
+                     "micro_ordering: --window must be an integer in "
+                     "[2, 1e6], got '%s'\n",
+                     argv[i]);
+        return 2;
       }
-      window_values = static_cast<std::size_t>(parsed);
+    } else {
+      std::fprintf(stderr, "micro_ordering: unknown argument '%s'\n",
+                   argv[i]);
+      return 2;
     }
   }
   if (json_path.empty()) {

@@ -1,5 +1,6 @@
 #include "sim/campaign_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <memory>
@@ -43,6 +44,32 @@ ShardSpec parse_shard_spec(const std::string& s) {
 std::string to_string(const ShardSpec& shard) {
   return std::to_string(shard.index) + "/" + std::to_string(shard.count);
 }
+
+namespace {
+
+/// How a row was obtained.
+enum class Source { kJournal, kCache, kSimulated };
+
+/// body(k) for every k < count, handed out in increasing order to
+/// min(threads, count) workers; the caller runs the only one inline.
+template <typename Body>
+void parallel_for(std::size_t count, std::size_t threads, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t k = next++; k < count; k = next++) body(k);
+  };
+  const std::size_t pool = std::min(threads, count);
+  if (pool <= 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> workers;
+  workers.reserve(pool);
+  for (std::size_t t = 0; t < pool; ++t) workers.emplace_back(worker);
+  for (std::thread& t : workers) t.join();
+}
+
+}  // namespace
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerConfig& runner) {
@@ -109,81 +136,78 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.stats.assigned = assigned.size();
   result.rows.resize(assigned.size());
 
-  // One schedule per traffic stream: the mode rows of a grid point share
-  // their materialized generator output (expand() gives them one seed)
-  // and its one NoC timing run. An entry is dropped after the last of
-  // this shard's rows that carries it, whether simulated or served.
-  std::vector<const ScenarioSpec*> rows;
-  rows.reserve(assigned.size());
-  for (const std::size_t i : assigned) rows.push_back(&scenarios[i]);
-  ScheduleCache schedules(std::move(rows));
-  std::atomic<std::size_t> next{0};
   std::size_t done = 0;       // guarded by report_mutex
   std::mutex report_mutex;    // serializes on_result + done
   std::mutex persist_mutex;   // serializes journal appends + stat counts
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t j = next.fetch_add(1);
-      if (j >= assigned.size()) return;
-      const std::size_t i = assigned[j];
-      const ScenarioSpec& scenario = scenarios[i];
-      const ContentKey* key = keyed ? &keys[i] : nullptr;
-
-      std::optional<ScenarioResult> row;
-      bool from_journal = false;
-      bool from_cache = false;
-      if (key && key->cacheable) {
-        const auto it = journaled.find(key->hash);
-        if (it != journaled.end()) {
-          row = it->second;  // journaled is read-only during the sweep
-          row->spec = scenario;
-          from_journal = true;
-        } else if (cache) {
-          row = cache->lookup(scenario, key->hash);
-          from_cache = row.has_value();
-        }
+  // Slot j's row is in: count how it was obtained, persist it where it is
+  // not yet, and report it.
+  const auto land = [&](std::size_t j, ScenarioResult&& row, Source source,
+                        std::size_t cycle_runs) {
+    const std::size_t i = assigned[j];
+    {
+      const std::lock_guard<std::mutex> lock(persist_mutex);
+      switch (source) {
+        case Source::kJournal: ++result.stats.journal_hits; break;
+        case Source::kCache: ++result.stats.cache_hits; break;
+        case Source::kSimulated: ++result.stats.simulated; break;
       }
-      const bool simulated = !row.has_value();
-      std::size_t cycle_runs = 0;
-      if (simulated)
-        row = run_scenario_shared(scenario, spec.hooks, &schedules,
-                                  &cycle_runs);
-      else
-        schedules.skip(scenario);
-
-      {
-        const std::lock_guard<std::mutex> lock(persist_mutex);
-        if (simulated) ++result.stats.simulated;
-        result.stats.cycle_runs += cycle_runs;
-        if (from_cache) ++result.stats.cache_hits;
-        if (from_journal) ++result.stats.journal_hits;
-        if (key && key->cacheable) {
-          if (simulated && cache) cache->store(key->hash, *row);
-          if (journal && !from_journal) journal->append(key->hash, i, *row);
-        }
-      }
-      result.rows[j] = std::move(*row);
-      if (runner.on_result) {
-        // done is incremented under the same lock as the callback so the
-        // reported counts never regress.
-        const std::lock_guard<std::mutex> lock(report_mutex);
-        runner.on_result(result.rows[j], ++done, assigned.size());
+      result.stats.cycle_runs += cycle_runs;
+      if (keyed && keys[i].cacheable) {
+        if (source == Source::kSimulated && cache)
+          cache->store(keys[i].hash, row);
+        if (journal && source != Source::kJournal)
+          journal->append(keys[i].hash, i, row);
       }
     }
+    result.rows[j] = std::move(row);
+    if (runner.on_result) {
+      // done is incremented under the same lock as the callback so the
+      // reported counts never regress.
+      const std::lock_guard<std::mutex> lock(report_mutex);
+      runner.on_result(result.rows[j], ++done, assigned.size());
+    }
   };
+  const std::size_t threads = runner.threads < 1 ? 1 : runner.threads;
 
-  const std::size_t want = runner.threads < 1 ? 1 : runner.threads;
-  const std::size_t pool =
-      assigned.size() < want ? (assigned.empty() ? 1 : assigned.size())
-                             : want;
-  if (pool <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(pool);
-    for (std::size_t t = 0; t < pool; ++t) threads.emplace_back(worker);
-    for (auto& t : threads) t.join();
-  }
+  // Pass 1: serve every row the journal or the scenario cache holds.
+  std::vector<char> served(assigned.size(), 0);
+  if (keyed)
+    parallel_for(assigned.size(), threads, [&](std::size_t j) {
+      const std::size_t i = assigned[j];
+      if (!keys[i].cacheable) return;
+      const auto it = journaled.find(keys[i].hash);
+      if (it != journaled.end()) {
+        ScenarioResult row = it->second;  // read-only during the sweep
+        row.spec = scenarios[i];
+        served[j] = 1;
+        land(j, std::move(row), Source::kJournal, 0);
+      } else if (cache) {
+        if (std::optional<ScenarioResult> row =
+                cache->lookup(scenarios[i], keys[i].hash)) {
+          served[j] = 1;
+          land(j, std::move(*row), Source::kCache, 0);
+        }
+      }
+    });
+
+  // Pass 2: simulate the rest in grid order. One schedule per traffic
+  // stream: the mode rows of a grid point share their materialized
+  // generator output (expand() gives them one seed) and its one NoC timing
+  // run, and the cache drops it after the last of them.
+  std::vector<std::size_t> left;
+  std::vector<const ScenarioSpec*> left_specs;
+  for (std::size_t j = 0; j < assigned.size(); ++j)
+    if (!served[j]) {
+      left.push_back(j);
+      left_specs.push_back(&scenarios[assigned[j]]);
+    }
+  ScheduleCache schedules(left_specs);
+  parallel_for(left.size(), threads, [&](std::size_t k) {
+    std::size_t cycle_runs = 0;
+    ScenarioResult row = run_scenario_shared(*left_specs[k], spec.hooks,
+                                             &schedules, &cycle_runs);
+    land(left[k], std::move(row), Source::kSimulated, cycle_runs);
+  });
 
   if (cache)
     for (std::string& w : cache->take_diagnostics())

@@ -6,6 +6,11 @@
 // reuse, journal (sim/run_journal.h) for kill/resume — and owns none of
 // the physics itself.
 //
+// A shard's rows take two passes at the same worker count: the first serves
+// every row the journal or the scenario cache holds, the second simulates
+// the rest in grid order, sharing one ScheduleCache built over exactly
+// those rows. The first pass is skipped when neither store is on.
+//
 // Determinism contract: for a fixed spec, the rows a shard contributes are
 // byte-identical whether they were simulated, served by the cache, or
 // replayed from a journal (wall_ms_* and engine_reason excepted —
@@ -54,7 +59,8 @@ struct RunnerConfig {
   ExecutionConfig exec;
   /// Invoked after each scenario row is obtained — simulated or replayed
   /// (serialized by the runner, so the callback needs no locking of its
-  /// own). `done`/`total` count this shard's assignment.
+  /// own). Replayed rows report first. `done`/`total` count this shard's
+  /// assignment.
   std::function<void(const ScenarioResult&, std::size_t done,
                      std::size_t total)>
       on_result;

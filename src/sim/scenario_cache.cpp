@@ -119,6 +119,7 @@ bool hash_file_bytes(StableHash& h, const std::string& path) {
 
 void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
                       bool timing_only) {
+  const bool model = spec.generator == GeneratorKind::kModel;
   h.add(to_string(spec.generator));
   h.add(spec.rows);
   h.add(spec.cols);
@@ -128,7 +129,7 @@ void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
   if (!timing_only) h.add(ordering::to_string(spec.mode));
   h.add(static_cast<std::uint64_t>(spec.values_per_flit));
   h.add(static_cast<std::uint64_t>(spec.fixed_bits));
-  h.add(spec.window);
+  if (!model) h.add(spec.window);
   h.add(spec.packets);
   h.add(spec.injection_rate);
   h.add(to_string(spec.value_dist));
@@ -140,8 +141,7 @@ void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
   h.add(spec.burst_gap);
   h.add(spec.num_mcs);
   h.add(spec.model_seed);
-  if (!timing_only || spec.generator == GeneratorKind::kModel)
-    h.add(spec.input_seed);
+  if (!timing_only || model) h.add(spec.input_seed);
   h.add(spec.model);
   h.add(spec.placement);
   h.add(spec.tiles_per_layer);
@@ -149,7 +149,7 @@ void hash_spec_fields(StableHash& h, const ScenarioSpec& spec,
     h.add(spec.energy_per_transition_pj);
     h.add(spec.frequency_mhz);
   }
-  h.add(spec.seed);
+  if (!model) h.add(spec.seed);
   h.add(spec.max_cycles);
   h.add(std::string(noc::to_string(spec.engine)));
   h.add(spec.engine_auto);

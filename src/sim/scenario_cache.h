@@ -9,7 +9,10 @@
 // workload, mesh, codec, ordering mode, traffic volume and distribution,
 // energy point, engine choice, seed, stall guard — plus the ModelHooks
 // fingerprint for model workloads and the *bytes* of the trace file for
-// replay workloads (a path alone could alias different recordings). The
+// replay workloads (a path alone could alias different recordings). A
+// model workload's window and seed are left out: an inference reads
+// neither, so a row keeps its key whichever first window and root seed
+// its campaign names. The
 // scenario/campaign *names* and every output-side field are excluded:
 // names are presentation (re-attached from the live expansion on lookup),
 // and wall-clock/profile numbers are results, not identity — wall-clock is
@@ -44,7 +47,8 @@ struct ContentKey {
 };
 
 /// Feed every ScenarioSpec field a row depends on, except its name and
-/// trace_path, into `h` in scenario_content_key's order. With
+/// trace_path, into `h` in scenario_content_key's order. A model spec
+/// skips window and seed, which an inference never reads. With
 /// `timing_only`, skip the fields a row reads but its schedule and timing
 /// run never do — mode, energy_per_transition_pj, frequency_mhz and, for a
 /// synthetic spec, input_seed (a model's O0 inference reads it) — for the

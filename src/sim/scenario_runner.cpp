@@ -34,10 +34,11 @@ using PayloadBatch = std::vector<std::vector<BitVec>>;
 /// schedule's one raw chain of the weights stream. Baseline mode and
 /// non-uniform layouts take the per-request path.
 template <typename Visit>
-void for_each_ordered(const SharedSchedule& sched, DataFormat format,
-                      ordering::OrderingMode mode, Visit&& visit) {
+void for_each_ordered(const SharedSchedule& sched, ordering::OrderingMode mode,
+                      Visit&& visit) {
   using ordering::apply_permutation;
   const InjectionSchedule& reqs = sched.requests;
+  const DataFormat format = sched.spec.format;
   if (ordering::mode_is_baseline(mode)) {
     for (const InjectionRequest& req : reqs) visit(req.inputs, req.weights);
     return;
@@ -50,7 +51,7 @@ void for_each_ordered(const SharedSchedule& sched, DataFormat format,
       reqs.empty() ? nullptr : &sched.derived(format);
   if (d && d->uniform) {
     const ordering::RawChain* chain =
-        ordering::mode_chains(mode) ? &sched.weights_chain(format) : nullptr;
+        ordering::mode_chains(mode) ? &sched.weights_chain() : nullptr;
     const auto w_flat = strategy.order_batch(
         d->weights_concat, format, d->window_values, d->weights_bt, chain);
     // Affiliated pairing reuses the weight permutation for the inputs.
@@ -96,16 +97,15 @@ accel::FlitLayout flit_layout(const ScenarioSpec& spec) {
 /// scores: half-half packed (weights right, inputs left, no bias — pure
 /// traffic), flits back to back.
 noc::FlatPayloads build_flat_payloads(const SharedSchedule& sched,
-                                      const ScenarioSpec& spec,
                                       ordering::OrderingMode mode,
                                       std::size_t expected_flits) {
-  const accel::FlitLayout layout = flit_layout(spec);
+  const accel::FlitLayout layout = flit_layout(sched.spec);
   noc::FlatPayloads flat;
   flat.words_per_flit = (layout.flit_bits() + 63) / 64;
   flat.words.reserve(expected_flits * flat.words_per_flit);
   flat.packet_begin.reserve(sched.requests.size() + 1);
   for_each_ordered(
-      sched, spec.format, mode,
+      sched, mode,
       [&](std::span<const std::uint32_t> inputs,
           std::span<const std::uint32_t> weights) {
         const auto flits =
@@ -121,6 +121,7 @@ noc::FlatPayloads build_flat_payloads(const SharedSchedule& sched,
 
 SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
   auto schedule = std::make_shared<SharedSchedule>();
+  schedule->spec = spec;
   if (spec.generator == GeneratorKind::kModel) return schedule;
   auto gen = make_generator(spec);
   while (auto req = gen->next()) schedule->requests.push_back(std::move(*req));
@@ -272,9 +273,9 @@ RunOutcome run_model_variant(const ScenarioSpec& spec,
 /// synthetic point flitizes the O0 payloads, tries the analytical engine
 /// under auto (or when forced) and falls back to the cycle engine — the
 /// only place a synthetic row constructs an engine.
-void build_timing(const ScenarioSpec& spec, const ModelHooks& hooks,
-                  const SharedSchedule& schedule,
+void build_timing(const SharedSchedule& schedule, const ModelHooks& hooks,
                   SharedSchedule::Timing& timing) {
+  const ScenarioSpec& spec = schedule.spec;
   if (spec.generator == GeneratorKind::kModel) {
     timing.baseline =
         run_model_variant(spec, ordering::OrderingMode::kBaseline, hooks);
@@ -283,7 +284,7 @@ void build_timing(const ScenarioSpec& spec, const ModelHooks& hooks,
   const accel::FlitLayout layout = flit_layout(spec);
   PayloadBatch payloads;
   payloads.reserve(schedule.requests.size());
-  for_each_ordered(schedule, spec.format, ordering::OrderingMode::kBaseline,
+  for_each_ordered(schedule, ordering::OrderingMode::kBaseline,
                    [&](std::span<const std::uint32_t> inputs,
                        std::span<const std::uint32_t> weights) {
                      payloads.push_back(accel::pack_half_half(
@@ -309,16 +310,16 @@ void build_timing(const ScenarioSpec& spec, const ModelHooks& hooks,
                                      std::move(payloads), timing.order);
 }
 
-/// The ordered mode's outcome for a synthetic row: its timing, and BT and
-/// per-link counters replayed over the recorded wire order.
-RunOutcome score_ordered(const ScenarioSpec& spec,
+/// The `mode` outcome of a synthetic row: its timing, and BT and per-link
+/// counters replayed over the recorded wire order.
+RunOutcome score_ordered(ordering::OrderingMode mode,
                          const SharedSchedule& schedule,
                          const SharedSchedule::Timing& timing) {
   RunOutcome out = timing.baseline;  // a stalled run carries no links
   out.wall_ms = 0.0;
   if (!out.drained) return out;  // the stalled row: no replay
   const noc::FlatPayloads payloads =
-      build_flat_payloads(schedule, spec, spec.mode, timing.order.flits());
+      build_flat_payloads(schedule, mode, timing.order.flits());
   const noc::WallTimer timer;
   const noc::BtRecorder bt = noc::score_wire_order(timing.order, payloads);
   out.bt = bt.total();
@@ -365,6 +366,10 @@ void assemble_row(ScenarioResult& result, const RunOutcome& baseline,
 
 const SharedSchedule::Derived& SharedSchedule::derived(
     DataFormat format) const {
+  if (format != spec.format)
+    throw std::logic_error("SharedSchedule::derived: built for " +
+                           to_string(spec.format) + ", asked for " +
+                           to_string(format));
   std::call_once(once_, [&] {
     Derived d;
     const std::size_t wv =
@@ -397,25 +402,19 @@ const SharedSchedule::Derived& SharedSchedule::derived(
       d.inputs_bt = ordering::sequence_bt_batch(d.inputs_concat, format, wv);
     }
     derived_ = std::move(d);
-    format_ = format;
   });
-  if (format != format_)
-    throw std::logic_error("SharedSchedule::derived: built for " +
-                           to_string(format_) + ", asked for " +
-                           to_string(format));
   return derived_;
 }
 
-const ordering::RawChain& SharedSchedule::weights_chain(DataFormat format,
-                                                       bool* built) const {
-  const Derived& d = derived(format);
+const ordering::RawChain& SharedSchedule::weights_chain(bool* built) const {
+  const Derived& d = derived(spec.format);
   if (!d.uniform)
     throw std::logic_error(
         "SharedSchedule::weights_chain: the schedule's windows are not "
         "uniform, so it orders per request");
   bool ran = false;
   std::call_once(chain_once_, [&] {
-    chain_ = ordering::raw_chain_batch(d.weights_concat, format,
+    chain_ = ordering::raw_chain_batch(d.weights_concat, spec.format,
                                        d.window_values);
     ran = true;
   });
@@ -423,54 +422,27 @@ const ordering::RawChain& SharedSchedule::weights_chain(DataFormat format,
   return chain_;
 }
 
-const SharedSchedule::Timing& SharedSchedule::timing(const ScenarioSpec& spec,
-                                                     const ModelHooks& hooks,
+const SharedSchedule::Timing& SharedSchedule::timing(const ModelHooks& hooks,
                                                      bool* built) const {
-  const std::string key = schedule_key(spec);
   bool ran = false;
   std::call_once(timing_once_, [&] {
     // A throwing run is recorded, not retried: every row of the grid
     // point reports the same failure.
     try {
-      build_timing(spec, hooks, *this, timing_);
+      build_timing(*this, hooks, timing_);
     } catch (...) {
       timing_.error = std::current_exception();
     }
-    timing_key_ = key;
     ran = true;
   });
-  if (key != timing_key_)
-    throw std::logic_error("SharedSchedule::timing: built for another spec "
-                           "than scenario '" +
-                           spec.name + "' (the schedule cache key differs)");
   if (built) *built = ran;
   return timing_;
 }
 
-ScheduleCache::Entry& ScheduleCache::entry(const std::string& key) {
-  const auto expected = uses_.find(key);
-  return entries_
-      .try_emplace(key, Entry{{},
-                              expected == uses_.end() ? uses_per_key_
-                                                      : expected->second})
-      .first->second;
-}
-
-void ScheduleCache::use(const std::string& key) {
-  const auto it = entries_.find(key);
-  if (it != entries_.end() && --it->second.remaining == 0)
-    entries_.erase(it);  // shared_future keeps the state alive
-}
-
-void ScheduleCache::count_rows() {
-  for (const ScenarioSpec* spec : rows_) ++uses_[schedule_key(*spec)];
-  rows_.clear();
-  for (const ScenarioSpec* spec : skipped_) {
-    const std::string key = schedule_key(*spec);
-    (void)entry(key);
-    use(key);
-  }
-  skipped_.clear();
+ScheduleCache::ScheduleCache(std::span<const ScenarioSpec* const> rows)
+    : uses_per_key_(1) {
+  for (const ScenarioSpec* spec : rows)
+    ++entries_[schedule_key(*spec)].remaining;
 }
 
 SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
@@ -480,13 +452,14 @@ SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
   bool owner = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!rows_.empty()) count_rows();
-    Entry& e = entry(key);
+    const auto it = entries_.try_emplace(key, Entry{{}, uses_per_key_}).first;
+    Entry& e = it->second;
     if (!e.future.valid()) {
       owner = true;
       e.future = mine.get_future().share();
     }
     fut = e.future;
+    if (--e.remaining == 0) entries_.erase(it);  // fut keeps the state alive
   }
   if (owner) {
     try {
@@ -495,26 +468,7 @@ SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
       mine.set_exception(std::current_exception());
     }
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    use(key);
-  }
   return fut.get();  // rethrows a materialization failure to every sharer
-}
-
-void ScheduleCache::skip(const ScenarioSpec& spec) {
-  {
-    // Until a row looks a schedule up, no entry exists to drop: defer.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!rows_.empty()) {
-      skipped_.push_back(&spec);
-      return;
-    }
-  }
-  const std::string key = schedule_key(spec);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  (void)entry(key);
-  use(key);
 }
 
 ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
@@ -542,8 +496,7 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
       runs = 1;
     }
     bool built = false;
-    const SharedSchedule::Timing& timing =
-        schedule->timing(spec, hooks, &built);
+    const SharedSchedule::Timing& timing = schedule->timing(hooks, &built);
     if (built && !timing.error &&
         timing.baseline.sim.engine != noc::SimEngine::kAnalytical)
       ++runs;
@@ -553,7 +506,7 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
       assemble_row(result, timing.baseline, timing.baseline);
     else
       assemble_row(result, timing.baseline,
-                   model ? own : score_ordered(spec, *schedule, timing));
+                   model ? own : score_ordered(spec.mode, *schedule, timing));
     // The timing run's wall clock is charged to the row that ran it.
     if (!built) result.wall_ms_baseline = 0.0;
     if (baseline_is_ordered) result.wall_ms_ordered = result.wall_ms_baseline;

@@ -23,6 +23,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -58,9 +59,9 @@ struct RunOutcome {
   std::vector<noc::LinkObservation> links;  ///< frozen per-link counters
 };
 
-/// A materialized schedule plus three blocks built lazily beside it and
-/// then shared — through the campaign ScheduleCache, by every mode row of
-/// a grid point:
+/// A materialized schedule, the spec it was materialized from, and three
+/// blocks built lazily beside it and then shared — through the campaign
+/// ScheduleCache, by every mode row of a grid point:
 ///   - the derived inputs of batched payload ordering: the per-stream
 ///     value concatenations and arrival-order sequence-BT hints that let
 ///     one OrderingStrategy::order_batch call (one kernel pass per
@@ -68,9 +69,13 @@ struct RunOutcome {
 ///   - the weights stream's raw greedy chain, the order_batch hint of the
 ///     chain, hdchain and hybrid rows, built when the first of them asks;
 ///   - the timing block: the grid point's one O0 run.
-/// The request list is immutable after materialization; a model spec's is
-/// empty, since its inferences make their own traffic.
+/// `spec` is the first of the grid point's rows to ask for the schedule;
+/// the schedule cache key pins every field the blocks read, so the other
+/// rows would build the same ones. The request list is immutable after
+/// materialization; a model spec's is empty, since its inferences make
+/// their own traffic.
 struct SharedSchedule {
+  ScenarioSpec spec;
   InjectionSchedule requests;
 
   struct Derived {
@@ -88,8 +93,7 @@ struct SharedSchedule {
     std::vector<std::uint64_t> inputs_bt;
   };
 
-  /// Derived block, built exactly once (thread-safe) for the format of
-  /// the first call. The schedule cache key pins the format, so a later
+  /// Derived block, built exactly once (thread-safe) for spec.format. A
   /// call with another format is a caller bug: it throws std::logic_error
   /// naming both formats.
   [[nodiscard]] const Derived& derived(DataFormat format) const;
@@ -97,12 +101,11 @@ struct SharedSchedule {
   /// raw_chain_batch over the derived weights stream, built exactly once
   /// (thread-safe) on first use, so a grid point without chain-class rows
   /// never pays for it. Only the weights are chained: every chain-class
-  /// mode keeps pairs affiliated. Calls derived(format), whose format check
-  /// it inherits; throws std::logic_error when the layout is not uniform
-  /// (such schedules order per request). `built` (may be null) is set to
-  /// whether this call built it.
+  /// mode keeps pairs affiliated. Throws std::logic_error when the layout
+  /// is not uniform (such schedules order per request). `built` (may be
+  /// null) is set to whether this call built it.
   [[nodiscard]] const ordering::RawChain& weights_chain(
-      DataFormat format, bool* built = nullptr) const;
+      bool* built = nullptr) const;
 
   /// The grid point's one O0 run: for a synthetic point, O0 payloads
   /// through the spec's engine, recording the wire order; for a model
@@ -118,24 +121,18 @@ struct SharedSchedule {
     std::exception_ptr error;  ///< the run threw; every row reports it
   };
 
-  /// Timing block, built exactly once (thread-safe: the first caller runs
-  /// it, concurrent callers wait) for the spec and hooks of the first
-  /// call; only a model spec reads `hooks`. The schedule cache key pins
-  /// every spec field the run reads, so a later call whose spec keys
-  /// differently is a caller bug: it throws std::logic_error. `built` (may
-  /// be null) is set to whether this call ran it.
-  [[nodiscard]] const Timing& timing(const ScenarioSpec& spec,
-                                     const ModelHooks& hooks,
+  /// Timing block for `spec`, built exactly once (thread-safe: the first
+  /// caller runs it, concurrent callers wait); only a model spec reads
+  /// `hooks`. `built` (may be null) is set to whether this call ran it.
+  [[nodiscard]] const Timing& timing(const ModelHooks& hooks,
                                      bool* built = nullptr) const;
 
  private:
   mutable std::once_flag once_;
-  mutable DataFormat format_{};  // written once, inside once_
   mutable Derived derived_;
   mutable std::once_flag chain_once_;
   mutable ordering::RawChain chain_;
   mutable std::once_flag timing_once_;
-  mutable std::string timing_key_;  // written once, inside timing_once_
   mutable Timing timing_;
 };
 
@@ -150,8 +147,7 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 /// hooks. Thread-safe; the first worker to request a key materializes it
 /// while later workers block on the shared future.
 /// To bound campaign memory, an entry is dropped once every row expected
-/// to carry its key has either looked it up (get) or been served without
-/// simulating (skip).
+/// to carry its key has looked it up.
 class ScheduleCache {
  public:
   /// Every key is expected `uses_per_key` times (one per mode row).
@@ -159,41 +155,21 @@ class ScheduleCache {
       : uses_per_key_(uses_per_key < 1 ? 1 : uses_per_key) {}
 
   /// Each key is expected once per spec in `rows` that carries it — the
-  /// rows one process runs, e.g. a shard's slice of the grid. The specs
-  /// must outlive the cache: they are keyed at the first get(), so a sweep
-  /// served entirely without simulating keys none of them.
-  explicit ScheduleCache(std::vector<const ScenarioSpec*> rows)
-      : uses_per_key_(1), rows_(std::move(rows)) {}
+  /// rows one process simulates, e.g. what is left of a shard's slice
+  /// once the journal and scenario cache have served theirs. The keys
+  /// are counted here; the specs are not kept.
+  explicit ScheduleCache(std::span<const ScenarioSpec* const> rows);
 
   [[nodiscard]] SharedSchedulePtr get(const ScenarioSpec& spec);
-
-  /// `spec`'s row was served without simulating (from a scenario cache or
-  /// a journal): count its expected use without materializing anything.
-  /// `spec` must outlive the cache.
-  void skip(const ScenarioSpec& spec);
 
  private:
   struct Entry {
     std::shared_future<SharedSchedulePtr> future;  ///< invalid until a get()
-    std::size_t remaining = 0;
+    std::size_t remaining = 0;  ///< expected get() calls still to come
   };
-  /// `key`'s entry, created with its expected uses if absent. Caller
-  /// holds mutex_.
-  Entry& entry(const std::string& key);
-  /// Count one use of `key`, dropping its entry after the last. Caller
-  /// holds mutex_.
-  void use(const std::string& key);
-  /// Key rows_ into uses_, then apply the skips made before. Caller holds
-  /// mutex_.
-  void count_rows();
 
   std::size_t uses_per_key_;
   std::mutex mutex_;
-  std::vector<const ScenarioSpec*> rows_;     ///< not yet keyed into uses_
-  std::vector<const ScenarioSpec*> skipped_;  ///< skipped while rows_ waits
-  /// Per-key expected uses of the rows keyed so far; keys absent here
-  /// expect uses_per_key_.
-  std::unordered_map<std::string, std::size_t> uses_;
   std::unordered_map<std::string, Entry> entries_;
 };
 

@@ -531,9 +531,10 @@ TEST(Campaign, ProfilerCountersAreThreadInvariant) {
 }
 
 TEST(SharedSchedule, DerivedRejectsASecondFormat) {
-  // The derived block is built once, for the first caller's format; the
-  // schedule cache key pins the format, so another one is a caller bug.
+  // The derived block is built once, for the spec's format; the schedule
+  // cache key pins the format, so another one is a caller bug.
   SharedSchedule sched;
+  sched.spec.format = DataFormat::kFixed8;
   sched.requests = {InjectionRequest{0, 0, 1, {0x0F, 0xF0}, {0x01, 0x02}},
                     InjectionRequest{4, 1, 0, {0xFF, 0x00}, {0x03, 0x04}}};
   const SharedSchedule::Derived& d = sched.derived(DataFormat::kFixed8);
@@ -549,15 +550,14 @@ TEST(SharedSchedule, DerivedRejectsASecondFormat) {
   }
 }
 
-TEST(SharedSchedule, TimingRunsOnceAndRejectsAnotherSpec) {
+TEST(SharedSchedule, TimingRunsOnceForItsSpec) {
   SharedSchedule sched;
+  sched.spec.name = "timing";
+  sched.spec.format = DataFormat::kFixed8;
   sched.requests = {InjectionRequest{0, 0, 5, {0x0F, 0xF0}, {0x01, 0x02}},
                     InjectionRequest{9, 3, 12, {0xFF, 0x00}, {0x03, 0x04}}};
-  ScenarioSpec spec;
-  spec.name = "timing";
-  spec.format = DataFormat::kFixed8;
   bool built = false;
-  const SharedSchedule::Timing& timing = sched.timing(spec, {}, &built);
+  const SharedSchedule::Timing& timing = sched.timing({}, &built);
   EXPECT_TRUE(built);
   ASSERT_FALSE(timing.error);
   EXPECT_TRUE(timing.baseline.drained);
@@ -567,13 +567,8 @@ TEST(SharedSchedule, TimingRunsOnceAndRejectsAnotherSpec) {
   // Two far-apart packets: the analytical engine times them.
   EXPECT_EQ(timing.baseline.sim.engine, noc::SimEngine::kAnalytical);
 
-  ScenarioSpec other_mode = spec;
-  other_mode.mode = ordering::OrderingMode::kHybrid;
-  EXPECT_EQ(&sched.timing(other_mode, {}, &built), &timing);
+  EXPECT_EQ(&sched.timing({}, &built), &timing);
   EXPECT_FALSE(built);
-  ScenarioSpec other_vcs = spec;
-  other_vcs.num_vcs = 2;
-  EXPECT_THROW((void)sched.timing(other_vcs, {}), std::logic_error);
 }
 
 ScenarioSpec uniform_4x4(double rate) {
@@ -648,16 +643,15 @@ TEST(ScheduleCache, RowOnlyFieldsShareOneScheduleAndOneTimingRun) {
     if (!shared) shared = schedule.get();
     EXPECT_EQ(schedule.get(), shared);
     bool built = false;
-    ASSERT_FALSE(schedule->timing(row, {}, &built).error);
+    ASSERT_FALSE(schedule->timing({}, &built).error);
     if (built) ++timing_runs;
   }
   EXPECT_EQ(timing_runs, 1u);
 }
 
 TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
-  // A shard's slice: two of a grid point's three mode rows, plus a row of
-  // another point. One row looks the schedule up; the other was served
-  // from a scenario cache and only skips.
+  // The rows a shard has left to simulate: two of a grid point's three
+  // mode rows, plus a row of another point.
   ScenarioSpec o0 = uniform_4x4(0.5);
   ScenarioSpec o2 = o0;
   o2.mode = ordering::OrderingMode::kSeparated;
@@ -665,9 +659,9 @@ TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
   ScheduleCache cache(std::vector<const ScenarioSpec*>{&o0, &o2, &other});
   const SharedSchedulePtr first = cache.get(o0);
   const SharedSchedulePtr kept = cache.get(other);
-  cache.skip(o2);
+  EXPECT_EQ(cache.get(o2).get(), first.get());
   // Both expected rows of o0's key are through, so the entry is gone and
-  // another lookup materializes afresh; `other` still expects no more.
+  // another lookup materializes afresh; `other` expects no more either.
   EXPECT_NE(cache.get(o0).get(), first.get());
   EXPECT_NE(cache.get(other).get(), kept.get());
 
@@ -681,14 +675,6 @@ TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
   const SharedSchedulePtr model_first = models.get(model_o0);
   EXPECT_EQ(models.get(model_o2).get(), model_first.get());
   EXPECT_NE(models.get(model_o0).get(), model_first.get());
-
-  // A row served before any lookup leaves the schedule to the row that
-  // simulates.
-  ScheduleCache served_first(std::vector<const ScenarioSpec*>{&o0, &o2});
-  served_first.skip(o2);
-  const SharedSchedulePtr built = served_first.get(o0);
-  EXPECT_FALSE(built->requests.empty());
-  EXPECT_NE(served_first.get(o0).get(), built.get());
 }
 
 TEST(Campaign, CountsOneCycleRunPerGridPoint) {

@@ -1,6 +1,7 @@
 // End-to-end tests for the campaign service: sharded execution that
 // merges byte-identical to a serial sweep (under both an auto/analytical
 // and a forced cycle engine), warm-cache reruns that simulate nothing,
+// partly warm reruns that simulate only the rows the cache lacks,
 // kill/resume through the journal (including a torn final record), the
 // spec-hash gate on resume=, and corrupt cache entries being diagnosed,
 // re-simulated and overwritten.
@@ -146,6 +147,43 @@ TEST_P(CampaignServiceEngines, WarmCacheRerunSimulatesNothing) {
   EXPECT_EQ(warm.stats.simulated, 0u) << "warm rerun must re-simulate nothing";
   EXPECT_EQ(warm.stats.cache_hits, warm.rows.size());
   expect_identical_reports(camp, cold, warm, "warm rerun");
+}
+
+TEST(CampaignService, PartlyWarmRerunTimesEachGridPointOnce) {
+  // A cache filled by modes O0,O2 serves those rows of an O0,O1,O2,chain
+  // rerun. The O1 and chain rows simulate, and share one timing run per
+  // grid point, though the O0 row of that point was served.
+  using ordering::OrderingMode;
+  CampaignSpec filled = service_campaign(true);
+  filled.modes = {OrderingMode::kBaseline, OrderingMode::kSeparated};
+  CampaignSpec camp = service_campaign(true);
+  camp.modes = {OrderingMode::kBaseline, OrderingMode::kAffiliated,
+                OrderingMode::kSeparated, OrderingMode::kChain};
+  const std::size_t points = 4;  // 2 generators x 2 formats
+  const CampaignResult cold = run_campaign(camp);
+  ASSERT_EQ(cold.rows.size(), 4 * points);
+
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string label = std::to_string(threads) + " threads";
+    RunnerConfig runner;
+    runner.threads = threads;
+    runner.exec.cache_dir = scratch("partly_warm_" + std::to_string(threads));
+    (void)run_campaign(filled, runner);
+
+    runner.exec.journal_path =
+        scratch("partly_warm_" + std::to_string(threads) + ".jnl");
+    const CampaignResult rerun = run_campaign(camp, runner);
+    EXPECT_EQ(rerun.stats.cache_hits, 2 * points) << label;
+    EXPECT_EQ(rerun.stats.simulated, 2 * points) << label;
+    EXPECT_EQ(rerun.stats.cycle_runs, points) << label;
+    expect_identical_reports(camp, cold, rerun, "partly warm, " + label);
+
+    // Served and simulated rows alike were journaled.
+    runner.exec.cache_dir.clear();
+    const CampaignResult resumed = run_campaign(camp, runner);
+    EXPECT_EQ(resumed.stats.journal_hits, resumed.rows.size()) << label;
+    expect_identical_reports(camp, cold, resumed, "resumed, " + label);
+  }
 }
 
 TEST(CampaignService, ResumeSkipsJournaledRows) {

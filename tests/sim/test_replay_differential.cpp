@@ -419,7 +419,7 @@ TEST(ReplayDifferential, SingleScenarioCachedSharesOneTiming) {
     // again runs nothing and hands back the same block.
     bool built = true;
     const SharedSchedule::Timing* timing =
-        &schedules.get(spec)->timing(spec, {}, &built);
+        &schedules.get(spec)->timing({}, &built);
     EXPECT_FALSE(built) << ordering::short_mode_name(mode);
     if (!shared) shared = timing;
     EXPECT_EQ(timing, shared) << ordering::short_mode_name(mode);
@@ -455,7 +455,7 @@ TEST(ReplayDifferential, ChainClassRowsShareOneLazyRawChain) {
   const SharedSchedulePtr sched = unchained.get(spec);
   ASSERT_TRUE(sched->derived(spec.format).uniform);
   bool built = false;
-  (void)sched->weights_chain(spec.format, &built);
+  (void)sched->weights_chain(&built);
   EXPECT_TRUE(built);
 
   // The chain, hdchain and hybrid rows share the one the first built.
@@ -466,7 +466,7 @@ TEST(ReplayDifferential, ChainClassRowsShareOneLazyRawChain) {
     run_rows(chained, {mode});
     built = true;
     const ordering::RawChain* chain =
-        &chained.get(spec)->weights_chain(spec.format, &built);
+        &chained.get(spec)->weights_chain(&built);
     EXPECT_FALSE(built) << ordering::short_mode_name(mode);
     if (!shared) shared = chain;
     EXPECT_EQ(chain, shared) << ordering::short_mode_name(mode);
@@ -479,8 +479,7 @@ TEST(ReplayDifferential, ChainClassRowsShareOneLazyRawChain) {
   ScheduleCache ragged_cache(1);
   const SharedSchedulePtr ragged_sched = ragged_cache.get(ragged);
   ASSERT_FALSE(ragged_sched->derived(ragged.format).uniform);
-  EXPECT_THROW((void)ragged_sched->weights_chain(ragged.format),
-               std::logic_error);
+  EXPECT_THROW((void)ragged_sched->weights_chain(), std::logic_error);
 }
 
 TEST(ReplayDifferential, ScoringAShortPacketThrowsNamingIt) {

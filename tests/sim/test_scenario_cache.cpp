@@ -128,6 +128,27 @@ TEST(ContentKey, PersistedSyntheticKeysHoldAndOldModelKeysRetire) {
             "d1ce5b33aeac3ae2dbc160874d14cf09");
 }
 
+TEST(ContentKey, ModelKeysIgnoreWindowAndSeed) {
+  // An inference reads neither the window nor the seed, so a model row
+  // keeps its key under another first window or root seed; a synthetic
+  // row's traffic depends on both.
+  const auto key = [](const ScenarioSpec& spec) {
+    return scenario_content_key(spec, "builtin-lenet-v1").hash;
+  };
+  for (const GeneratorKind kind :
+       {GeneratorKind::kModel, GeneratorKind::kUniform}) {
+    ScenarioSpec spec = synthetic_spec();
+    spec.generator = kind;
+    ScenarioSpec window = spec;
+    window.window = spec.window * 2;
+    ScenarioSpec seed = spec;
+    seed.seed = spec.seed + 1;
+    const bool model = kind == GeneratorKind::kModel;
+    EXPECT_EQ(key(window) == key(spec), model) << to_string(kind);
+    EXPECT_EQ(key(seed) == key(spec), model) << to_string(kind);
+  }
+}
+
 TEST(ContentKey, ModelScenariosNeedAHooksFingerprint) {
   ScenarioSpec spec = synthetic_spec();
   spec.generator = GeneratorKind::kModel;
