@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <cstdio>
+
 #include "common/rng.h"
 #include "dnn/models.h"
 #include "dnn/synthetic_data.h"
@@ -65,6 +67,27 @@ dnn::Tensor darknet_input(std::uint64_t seed) {
   cfg.width = 64;
   dnn::SyntheticDataset data(cfg, seed);
   return data.sample(1).images;
+}
+
+bool parse_flags(
+    int argc, char** argv, const char* binary,
+    std::initializer_list<std::pair<std::string_view, std::string*>> flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    std::string* value = nullptr;
+    for (const auto& [flag, target] : flags)
+      if (arg == flag) value = target;
+    if (value == nullptr) {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", binary, argv[i]);
+      return false;
+    }
+    if (i + 1 == argc || *argv[i + 1] == '\0') {
+      std::fprintf(stderr, "%s: %s needs a value\n", binary, argv[i]);
+      return false;
+    }
+    *value = argv[++i];
+  }
+  return true;
 }
 
 }  // namespace nocbt::benchutil

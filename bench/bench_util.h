@@ -4,6 +4,10 @@
 // deterministic.
 
 #include <cstdint>
+#include <initializer_list>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "dnn/sequential.h"
 #include "dnn/tensor.h"
@@ -29,5 +33,15 @@ namespace nocbt::benchutil {
 
 /// One synthetic 3x64x64 inference input for DarkNetSmall.
 [[nodiscard]] dnn::Tensor darknet_input(std::uint64_t seed);
+
+/// Read a micro bench's `--flag VALUE` arguments: each value lands in the
+/// string its flag names, so an empty string means the flag was not given.
+/// An argument that is not one of `flags`, or a flag whose value is missing
+/// or empty, prints "<binary>: unknown argument '<arg>'" or "<binary>:
+/// <flag> needs a value" on stderr and returns false, so the bench can exit
+/// 2 before doing any work.
+[[nodiscard]] bool parse_flags(
+    int argc, char** argv, const char* binary,
+    std::initializer_list<std::pair<std::string_view, std::string*>> flags);
 
 }  // namespace nocbt::benchutil

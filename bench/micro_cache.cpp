@@ -18,12 +18,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/config.h"
 #include "common/json_writer.h"
 #include "noc/noc_config.h"
@@ -148,12 +148,10 @@ int main(int argc, char** argv) {
     std::string cache_dir =
         (std::filesystem::temp_directory_path() / "nocbt_micro_cache")
             .string();
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-        json_path = argv[++i];
-      else if (std::strcmp(argv[i], "--cache-dir") == 0 && i + 1 < argc)
-        cache_dir = argv[++i];
-    }
+    if (!benchutil::parse_flags(
+            argc, argv, "micro_cache",
+            {{"--json", &json_path}, {"--cache-dir", &cache_dir}}))
+      return 2;
     if (!json_path.empty()) return run_json(json_path, cache_dir);
 
     const BenchRun run = run_cold_then_warm(cache_dir);

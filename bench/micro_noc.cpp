@@ -17,11 +17,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "noc/analytical_engine.h"
@@ -305,10 +305,13 @@ int run_json_bench(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      return run_json_bench(argv[i + 1]);
+  std::string json_path;
+  if (!benchutil::parse_flags(argc, argv, "micro_noc",
+                              {{"--json", &json_path}}))
+    return 2;
+  if (json_path.empty()) {
+    std::fprintf(stderr, "usage: micro_noc --json FILE\n");
+    return 2;
   }
-  std::fprintf(stderr, "usage: micro_noc --json FILE\n");
-  return 2;
+  return run_json_bench(json_path);
 }

@@ -13,11 +13,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <string>
 
+#include "bench_util.h"
 #include "common/config.h"
 #include "common/json_writer.h"
 #include "opt/coopt.h"
@@ -112,9 +112,11 @@ int run_json(const std::string& path) {
 
 int main(int argc, char** argv) {
   try {
-    for (int i = 1; i < argc; ++i)
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-        return run_json(argv[i + 1]);
+    std::string json_path;
+    if (!benchutil::parse_flags(argc, argv, "micro_opt",
+                                {{"--json", &json_path}}))
+      return 2;
+    if (!json_path.empty()) return run_json(json_path);
 
     const BenchRun run = run_reference_coopt();
     const opt::CoOptResult& r = run.result;

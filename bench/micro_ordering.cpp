@@ -16,9 +16,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
@@ -298,30 +298,22 @@ int run_json_bench(const std::string& path, std::size_t window_values) {
 
 int main(int argc, char** argv) {
   std::string json_path;
+  std::string window_text;
+  if (!benchutil::parse_flags(argc, argv, "micro_ordering",
+                              {{"--json", &json_path},
+                               {"--window", &window_text}}))
+    return 2;
   std::size_t window_values = 32;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if ((arg == "--json" || arg == "--window") && i + 1 == argc) {
-      std::fprintf(stderr, "micro_ordering: %s needs a value\n", argv[i]);
-      return 2;
-    }
-    if (arg == "--json") {
-      json_path = argv[++i];
-    } else if (arg == "--window") {
-      const std::string_view text = argv[++i];
-      const auto [ptr, ec] = std::from_chars(
-          text.data(), text.data() + text.size(), window_values);
-      if (ec != std::errc{} || ptr != text.data() + text.size() ||
-          window_values < 2 || window_values > 1'000'000) {
-        std::fprintf(stderr,
-                     "micro_ordering: --window must be an integer in "
-                     "[2, 1e6], got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "micro_ordering: unknown argument '%s'\n",
-                   argv[i]);
+  if (!window_text.empty()) {
+    const auto [ptr, ec] =
+        std::from_chars(window_text.data(),
+                        window_text.data() + window_text.size(), window_values);
+    if (ec != std::errc{} || ptr != window_text.data() + window_text.size() ||
+        window_values < 2 || window_values > 1'000'000) {
+      std::fprintf(stderr,
+                   "micro_ordering: --window must be an integer in "
+                   "[2, 1e6], got '%s'\n",
+                   window_text.c_str());
       return 2;
     }
   }

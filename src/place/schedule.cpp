@@ -56,7 +56,7 @@ class ScheduleBuilder {
     end_phase();
 
     std::stable_sort(schedule_.packets.begin(), schedule_.packets.end(),
-                     [](const FlowPacket& a, const FlowPacket& b) {
+                     [](const InjectionRequest& a, const InjectionRequest& b) {
                        return a.cycle < b.cycle;
                      });
     return std::move(schedule_);
@@ -183,7 +183,7 @@ class ScheduleBuilder {
     for (std::size_t at = 0; at < w.size(); at += config_.pairs_per_packet) {
       const std::size_t take = std::min<std::size_t>(
           config_.pairs_per_packet, w.size() - at);
-      FlowPacket pkt;
+      InjectionRequest pkt;
       pkt.src = src;
       pkt.dst = dst;
       pkt.weights.assign(w.begin() + static_cast<std::ptrdiff_t>(at),
@@ -204,7 +204,7 @@ class ScheduleBuilder {
     std::uint64_t phase_end = phase_start_;
     for (const auto& [src, cursor] : cursors_)
       phase_end = std::max(phase_end, cursor);
-    phase_start_ = phase_end + config_.phase_gap;
+    phase_start_ = phase_end;
     ++schedule_.phases;
   }
 

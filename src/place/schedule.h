@@ -30,6 +30,21 @@
 
 namespace nocbt::place {
 
+/// One packet of traffic: inject at `cycle` (or as soon after as the
+/// source queue allows), carrying pre-ordering (weight, input) wire-pattern
+/// pairs. The campaign runner takes the same requests (sim::InjectionRequest
+/// names this struct), so a placed schedule is its request list as it is.
+struct InjectionRequest {
+  std::uint64_t cycle = 0;
+  std::int32_t src = -1;
+  std::int32_t dst = -1;
+  std::vector<std::uint32_t> weights;  ///< wire patterns, natural order
+  std::vector<std::uint32_t> inputs;   ///< same length as weights
+};
+
+/// A whole injection schedule, in non-decreasing cycle order.
+using InjectionSchedule = std::vector<InjectionRequest>;
+
 /// How a placement's flows become flits and wire patterns.
 struct TrafficConfig {
   /// (weight, input) pairs per packet — the ordering window, in pairs.
@@ -40,24 +55,11 @@ struct TrafficConfig {
   /// Wire-pattern source for activation values (drawn in schedule order;
   /// must be deterministic for reproducible schedules).
   std::function<std::uint32_t()> draw_activation;
-  /// Extra idle cycles between phases.
-  std::uint64_t phase_gap = 0;
-};
-
-/// One schedulable packet: inject at `cycle` carrying pre-ordering
-/// (weight, input) pattern pairs — the same contract as the campaign
-/// runner's InjectionRequest.
-struct FlowPacket {
-  std::uint64_t cycle = 0;
-  std::int32_t src = -1;
-  std::int32_t dst = -1;
-  std::vector<std::uint32_t> weights;
-  std::vector<std::uint32_t> inputs;
 };
 
 /// A derived schedule plus traffic accounting.
 struct PlacedSchedule {
-  std::vector<FlowPacket> packets;  ///< non-decreasing cycles
+  InjectionSchedule packets;  ///< non-decreasing cycles
   std::uint64_t phases = 0;
   std::uint64_t mc_to_pe_values = 0;  ///< weight + ifmap values from MCs
   std::uint64_t pe_to_pe_values = 0;  ///< inter-layer activation values

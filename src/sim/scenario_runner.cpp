@@ -122,9 +122,8 @@ noc::FlatPayloads build_flat_payloads(const SharedSchedule& sched,
 SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
   auto schedule = std::make_shared<SharedSchedule>();
   schedule->spec = spec;
-  if (spec.generator == GeneratorKind::kModel) return schedule;
-  auto gen = make_generator(spec);
-  while (auto req = gen->next()) schedule->requests.push_back(std::move(*req));
+  if (spec.generator != GeneratorKind::kModel)
+    schedule->requests = generate_schedule(spec);
   return schedule;
 }
 

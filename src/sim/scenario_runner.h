@@ -39,11 +39,6 @@ namespace nocbt::sim {
 
 class ScenarioCache;  // sim/scenario_cache.h
 
-/// A generator's fully-materialized injection schedule: the pre-ordering
-/// traffic every variant of a scenario (baseline, ordered, analytical or
-/// cycle) replays. Immutable once built, so workers share it freely.
-using InjectionSchedule = std::vector<InjectionRequest>;
-
 /// Everything one NoC run yields — the parts of a row a run measures.
 struct RunOutcome {
   std::uint64_t bt = 0;  ///< in-scope BT

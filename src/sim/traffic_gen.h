@@ -1,83 +1,47 @@
 #pragma once
-// Config-driven traffic generators: the workload half of the scenario
-// campaign engine. A TrafficGenerator turns a ScenarioSpec into a stream of
-// timed injection requests — (cycle, src, dst, weight/input value patterns)
-// — that the campaign runner flitizes (with O0/O1/O2 ordering applied) and
-// drives through a noc::Network.
+// Config-driven traffic: the workload half of the scenario campaign
+// engine. sim::generate_schedule turns a ScenarioSpec into its whole list
+// of timed injection requests — (cycle, src, dst, weight/input value
+// patterns) — that the campaign runner flitizes (with O0/O1/O2 ordering
+// applied) and drives through a noc::Network.
 //
 // Geometry patterns are the classic NoC suite (uniform-random, transpose,
-// bit-complement, hotspot, bursty sources) plus a replay generator that
-// feeds a recorded PacketTrace (PacketTrace::load_csv) back through the
-// network — non-DNN traffic the accelerator pipeline cannot express.
-// Payload values are drawn from a configurable distribution and encoded
-// with the existing float-32 / fixed-point codecs, so the popcount profile
-// the ordering exploits is under experiment control.
+// bit-complement, hotspot, bursty sources), a replay of a recorded
+// PacketTrace (PacketTrace::load_csv) — non-DNN traffic the accelerator
+// pipeline cannot express — and the placed model-zoo schedule of
+// src/place. Payload values are drawn from a configurable distribution and
+// encoded with the existing float-32 / fixed-point codecs, so the popcount
+// profile the ordering exploits is under experiment control.
 //
-// Determinism contract: a generator's output is a pure function of the
-// ScenarioSpec (including its seed). Cycles are non-decreasing.
+// Determinism contract: a schedule is a pure function of the ScenarioSpec
+// (including its seed). Cycles are non-decreasing.
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
-
-#include "accel/value_codec.h"
-#include "common/rng.h"
 #include "noc/trace.h"
+#include "place/schedule.h"
 #include "sim/scenario.h"
 
 namespace nocbt::sim {
 
-/// One packet worth of traffic: inject at `cycle` (or as soon after as the
-/// source queue allows), carrying `pairs` (weight, input) value pairs.
-struct InjectionRequest {
-  std::uint64_t cycle = 0;
-  std::int32_t src = -1;
-  std::int32_t dst = -1;
-  std::vector<std::uint32_t> weights;  ///< wire patterns, natural order
-  std::vector<std::uint32_t> inputs;   ///< same length as weights
-};
+/// One packet worth of traffic; the placement engine builds the same
+/// requests, so its schedule is the runner's request list as it is.
+using InjectionRequest = place::InjectionRequest;
 
-/// Pull-based generator interface. next() returns requests with
-/// non-decreasing cycles until the workload is exhausted.
-class TrafficGenerator {
- public:
-  virtual ~TrafficGenerator() = default;
-  virtual std::optional<InjectionRequest> next() = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
+/// A fully-materialized injection schedule: the pre-ordering traffic every
+/// variant of a scenario (baseline, ordered, analytical or cycle) replays.
+using InjectionSchedule = place::InjectionSchedule;
 
-/// Draws payload values from the spec's distribution and encodes them to
-/// wire patterns with the format's codec (identity for float-32, Q-format
-/// quantization for fixed-8).
-class ValueSource {
- public:
-  explicit ValueSource(const ScenarioSpec& spec);
+/// The spec's whole injection schedule. Validates the spec first; throws
+/// std::invalid_argument on a spec its generator kind cannot satisfy (e.g.
+/// transpose on a non-square mesh, replay without a trace file, a model
+/// workload, whose inferences make their own traffic).
+[[nodiscard]] InjectionSchedule generate_schedule(const ScenarioSpec& spec);
 
-  [[nodiscard]] std::uint32_t draw_pattern(Rng& rng);
-  [[nodiscard]] std::vector<std::uint32_t> draw_patterns(Rng& rng,
-                                                         std::size_t count);
-
- private:
-  ValueDist dist_;
-  double dist_a_;
-  double dist_b_;
-  accel::ValueCodec codec_;
-};
-
-/// Build the generator a scenario asks for. Throws std::invalid_argument on
-/// a spec the generator kind cannot satisfy (e.g. transpose on a
-/// non-square mesh, replay without a trace file).
-[[nodiscard]] std::unique_ptr<TrafficGenerator> make_generator(
-    const ScenarioSpec& spec);
-
-/// Drain the spec's generator into a payload-carrying PacketTrace: one
-/// event per request, with the pre-ordering (weight, input) wire patterns
-/// recorded verbatim. Replaying the dumped trace under the same mesh,
-/// format and window reproduces the schedule bit-exactly (the replay
-/// generator re-injects recorded payloads), so a replayed campaign matches
-/// the directly-generated one byte for byte.
+/// The spec's schedule as a payload-carrying PacketTrace: one event per
+/// request, with the pre-ordering (weight, input) wire patterns recorded
+/// verbatim. Replaying the dumped trace under the same mesh, format and
+/// window reproduces the schedule bit-exactly (replay re-injects recorded
+/// payloads), so a replayed campaign matches the directly-generated one
+/// byte for byte.
 [[nodiscard]] noc::PacketTrace record_schedule(const ScenarioSpec& spec);
 
 }  // namespace nocbt::sim

@@ -61,7 +61,7 @@ TEST(Schedule, HandComputedAccountingOnASingleConv) {
 
   // Default pairs_per_packet (64) holds each transfer in one packet.
   ASSERT_EQ(s.packets.size(), 2u);
-  const FlowPacket& feed = s.packets[0];
+  const InjectionRequest& feed = s.packets[0];
   EXPECT_EQ(feed.src, 0);
   EXPECT_EQ(feed.dst, 1);
   EXPECT_EQ(feed.cycle, 0u);
@@ -76,7 +76,7 @@ TEST(Schedule, HandComputedAccountingOnASingleConv) {
 
   // Drain starts after the feed's 3 flits (20 pairs, 8 per flit) and splits
   // its single 32-value stream alternately across the two halves.
-  const FlowPacket& drain = s.packets[1];
+  const InjectionRequest& drain = s.packets[1];
   EXPECT_EQ(drain.src, 1);
   EXPECT_EQ(drain.dst, 0);
   EXPECT_EQ(drain.cycle, 3u);
@@ -127,7 +127,7 @@ TEST(Schedule, PacketsAreSortedAndEachSourceSerializesItsFlits) {
   ASSERT_GT(s.packets.size(), 2u);
   std::map<std::int32_t, std::uint64_t> next_free;
   for (std::size_t i = 0; i < s.packets.size(); ++i) {
-    const FlowPacket& pkt = s.packets[i];
+    const InjectionRequest& pkt = s.packets[i];
     if (i > 0) {
       EXPECT_GE(pkt.cycle, s.packets[i - 1].cycle) << "unsorted at " << i;
     }
@@ -162,7 +162,7 @@ TEST(Schedule, CoLocatedProducerConsumerFlowsStayOnThePe) {
   // (2 channels x 16 pixels) never touch the NoC.
   EXPECT_EQ(s.local_values, 32u);
   EXPECT_EQ(s.pe_to_pe_values, 0u);
-  for (const FlowPacket& pkt : s.packets) {
+  for (const InjectionRequest& pkt : s.packets) {
     EXPECT_TRUE(pkt.src == 0 || pkt.dst == 0)
         << "unexpected PE-to-PE packet " << pkt.src << "->" << pkt.dst;
   }

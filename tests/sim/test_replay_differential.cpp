@@ -149,9 +149,7 @@ ScenarioResult reference_row(const ScenarioSpec& spec) {
   result.spec = spec;
   try {
     spec.validate();
-    std::vector<InjectionRequest> schedule;
-    const auto gen = make_generator(spec);
-    while (auto req = gen->next()) schedule.push_back(std::move(*req));
+    const InjectionSchedule schedule = generate_schedule(spec);
     const RefOutcome baseline =
         reference_variant(spec, schedule, OrderingMode::kBaseline);
     const RefOutcome ordered =

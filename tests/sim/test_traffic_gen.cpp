@@ -1,5 +1,6 @@
-// Tests for the scenario traffic generators: determinism, geometry of each
-// pattern, timing, payload encoding, and the PacketTrace replay path.
+// Tests for generate_schedule: determinism, geometry of each pattern,
+// timing, payload encoding, the PacketTrace replay path, and every
+// generator kind's stream pinned by digest.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "noc/trace.h"
 #include "sim/traffic_gen.h"
 
@@ -29,20 +31,14 @@ ScenarioSpec base_spec(GeneratorKind kind) {
   return spec;
 }
 
-std::vector<InjectionRequest> drain(TrafficGenerator& gen) {
-  std::vector<InjectionRequest> out;
-  while (auto req = gen.next()) out.push_back(std::move(*req));
-  return out;
-}
-
 TEST(TrafficGen, DeterministicForFixedSeed) {
   for (const GeneratorKind kind :
        {GeneratorKind::kUniform, GeneratorKind::kTranspose,
         GeneratorKind::kBitComplement, GeneratorKind::kHotspot,
         GeneratorKind::kBurst}) {
     const ScenarioSpec spec = base_spec(kind);
-    auto a = drain(*make_generator(spec));
-    auto b = drain(*make_generator(spec));
+    auto a = generate_schedule(spec);
+    auto b = generate_schedule(spec);
     ASSERT_EQ(a.size(), b.size()) << to_string(kind);
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].cycle, b[i].cycle) << to_string(kind) << " packet " << i;
@@ -56,9 +52,9 @@ TEST(TrafficGen, DeterministicForFixedSeed) {
 
 TEST(TrafficGen, SeedChangesTheStream) {
   ScenarioSpec spec = base_spec(GeneratorKind::kUniform);
-  auto a = drain(*make_generator(spec));
+  auto a = generate_schedule(spec);
   spec.seed = 78;
-  auto b = drain(*make_generator(spec));
+  auto b = generate_schedule(spec);
   ASSERT_EQ(a.size(), b.size());
   bool any_difference = false;
   for (std::size_t i = 0; i < a.size() && !any_difference; ++i)
@@ -69,7 +65,7 @@ TEST(TrafficGen, SeedChangesTheStream) {
 
 TEST(TrafficGen, RequestShapeAndTiming) {
   const ScenarioSpec spec = base_spec(GeneratorKind::kUniform);
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   ASSERT_EQ(reqs.size(), spec.packets);
   std::uint64_t prev_cycle = 0;
   for (const auto& req : reqs) {
@@ -88,7 +84,7 @@ TEST(TrafficGen, RequestShapeAndTiming) {
 }
 
 TEST(TrafficGen, TransposePairsNodes) {
-  const auto reqs = drain(*make_generator(base_spec(GeneratorKind::kTranspose)));
+  const auto reqs = generate_schedule(base_spec(GeneratorKind::kTranspose));
   ASSERT_FALSE(reqs.empty());
   for (const auto& req : reqs) {
     const std::int32_t r = req.src / 4;
@@ -102,12 +98,11 @@ TEST(TrafficGen, TransposeNeedsSquareMesh) {
   ScenarioSpec spec = base_spec(GeneratorKind::kTranspose);
   spec.rows = 2;
   spec.cols = 4;
-  EXPECT_THROW(make_generator(spec), std::invalid_argument);
+  EXPECT_THROW((void)generate_schedule(spec), std::invalid_argument);
 }
 
 TEST(TrafficGen, BitComplementMirrorsNodeIndex) {
-  const auto reqs =
-      drain(*make_generator(base_spec(GeneratorKind::kBitComplement)));
+  const auto reqs = generate_schedule(base_spec(GeneratorKind::kBitComplement));
   ASSERT_FALSE(reqs.empty());
   for (const auto& req : reqs) EXPECT_EQ(req.dst, 15 - req.src);
 }
@@ -116,7 +111,7 @@ TEST(TrafficGen, HotspotConcentratesTraffic) {
   ScenarioSpec spec = base_spec(GeneratorKind::kHotspot);
   spec.packets = 600;
   spec.hotspot_fraction = 0.5;
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   std::map<std::int32_t, int> dst_count;
   for (const auto& req : reqs) ++dst_count[req.dst];
   const std::int32_t center = 2 * 4 + 2;  // default hotspot: mesh center
@@ -134,7 +129,7 @@ TEST(TrafficGen, HotspotHonorsExplicitNode) {
   ScenarioSpec spec = base_spec(GeneratorKind::kHotspot);
   spec.hotspot_node = 3;
   spec.hotspot_fraction = 1.0;
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   for (const auto& req : reqs) {
     EXPECT_EQ(req.dst, 3);
     EXPECT_NE(req.src, 3);
@@ -148,7 +143,7 @@ TEST(TrafficGen, HotspotNodeOutsideMeshIsRejectedUpFront) {
   ScenarioSpec spec = base_spec(GeneratorKind::kHotspot);
   spec.hotspot_node = 16;  // 4x4 mesh: node ids are [0, 15]
   try {
-    auto gen = make_generator(spec);
+    (void)generate_schedule(spec);
     FAIL() << "out-of-mesh hotspot_node was accepted";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -157,9 +152,9 @@ TEST(TrafficGen, HotspotNodeOutsideMeshIsRejectedUpFront) {
     EXPECT_NE(msg.find("[0, 15]"), std::string::npos) << msg;
   }
   spec.hotspot_node = -2;
-  EXPECT_THROW(make_generator(spec), std::invalid_argument);
+  EXPECT_THROW((void)generate_schedule(spec), std::invalid_argument);
   spec.hotspot_node = 15;  // boundary id stays valid
-  EXPECT_NO_THROW(make_generator(spec));
+  EXPECT_NO_THROW((void)generate_schedule(spec));
 }
 
 TEST(TrafficGen, BurstClustersInjections) {
@@ -167,7 +162,7 @@ TEST(TrafficGen, BurstClustersInjections) {
   spec.packets = 40;
   spec.burst_len = 8;
   spec.burst_gap = 100;
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   ASSERT_EQ(reqs.size(), 40u);
   // Packets 0..7 sit one cycle apart, then a >= burst_gap jump, repeating.
   for (std::size_t i = 1; i < reqs.size(); ++i) {
@@ -197,7 +192,7 @@ TEST(TrafficGen, ReplayFollowsTheTrace) {
 
   ScenarioSpec spec = base_spec(GeneratorKind::kReplay);
   spec.trace_path = path;
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   ASSERT_EQ(reqs.size(), 6u);
   std::uint64_t prev = 0;
   for (const auto& req : reqs) {
@@ -225,16 +220,16 @@ TEST(TrafficGen, ReplayRejectsTraceOutsideMesh) {
 
   ScenarioSpec spec = base_spec(GeneratorKind::kReplay);
   spec.trace_path = path;
-  EXPECT_THROW(make_generator(spec), std::invalid_argument);
+  EXPECT_THROW((void)generate_schedule(spec), std::invalid_argument);
 }
 
 TEST(TrafficGen, ReplayRequiresTracePath) {
-  EXPECT_THROW(make_generator(base_spec(GeneratorKind::kReplay)),
+  EXPECT_THROW((void)generate_schedule(base_spec(GeneratorKind::kReplay)),
                std::invalid_argument);
 }
 
 TEST(TrafficGen, ModelIsNotASyntheticGenerator) {
-  EXPECT_THROW(make_generator(base_spec(GeneratorKind::kModel)),
+  EXPECT_THROW((void)generate_schedule(base_spec(GeneratorKind::kModel)),
                std::invalid_argument);
 }
 
@@ -242,12 +237,109 @@ TEST(TrafficGen, Float32PatternsUseFullWidth) {
   ScenarioSpec spec = base_spec(GeneratorKind::kUniform);
   spec.format = DataFormat::kFloat32;
   spec.packets = 4;
-  const auto reqs = drain(*make_generator(spec));
+  const auto reqs = generate_schedule(spec);
   bool any_high_bits = false;
   for (const auto& req : reqs)
     for (const std::uint32_t pattern : req.weights)
       any_high_bits = any_high_bits || (pattern >> 8) != 0;
   EXPECT_TRUE(any_high_bits);  // IEEE-754 exponents live above bit 8
+}
+
+/// StableHash over every request's cycle, src, dst, weights and inputs.
+std::string schedule_digest(const InjectionSchedule& reqs) {
+  StableHash h;
+  for (const InjectionRequest& req : reqs) {
+    h.add(req.cycle);
+    h.add(req.src);
+    h.add(req.dst);
+    h.add(static_cast<std::uint64_t>(req.weights.size()));
+    for (const std::uint32_t w : req.weights) h.add(w);
+    h.add(static_cast<std::uint64_t>(req.inputs.size()));
+    for (const std::uint32_t in : req.inputs) h.add(in);
+  }
+  return h.hex();
+}
+
+TEST(TrafficGen, SchedulesMatchPinnedDigests) {
+  // Every generator kind's stream is pinned, so a change to how schedules
+  // are built must keep every RNG draw, cycle and payload in place.
+  const std::map<std::string, std::string> pinned = {
+      {"uniform/fixed-8", "aa4368484a240cc4b87a3646dbcde5d7"},
+      {"transpose/fixed-8", "35ae9ad530697959c162b555ff29deee"},
+      {"bitcomp/fixed-8", "74b2f43b17033dd05f67a3e0e121d0bf"},
+      {"hotspot/fixed-8", "21b2469e7c4a0c2122d8b4f05cc6bb12"},
+      {"burst/fixed-8", "0bae1926dbc4e6519298d8ba89a4de1e"},
+      {"uniform/float-32", "e191a773c9c1283ba98dd3a372820ff8"},
+      {"transpose/float-32", "5e3ab2675c7e8ee59131b0d1df1a11d2"},
+      {"bitcomp/float-32", "cfb4cb429cfc951c441bdb47e14ca593"},
+      {"hotspot/float-32", "a5214aa47dafb50a9cd2a88aa05533bd"},
+      {"burst/float-32", "960e630c871e81f9db31a763888b1266"},
+      {"replay/payload", "21b2469e7c4a0c2122d8b4f05cc6bb12"},
+      {"replay/geometry", "704a95209dbb858127cb7bd9422b4f66"},
+      {"placement/lenet/fixed-8", "6ef5f6da5adf8dded66a47c405cee511"},
+      {"placement/lenet/float-32", "71dd304370cb23436cf044f8e9e9bf9c"},
+      {"placement/resnet/fixed-8", "fdb01db380124ee670fb620cc2538681"},
+      {"placement/resnet/float-32", "135f6f571e771d1a45b3973b481c1ebd"},
+  };
+  std::map<std::string, std::string> actual;
+  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32})
+    for (const GeneratorKind kind :
+         {GeneratorKind::kUniform, GeneratorKind::kTranspose,
+          GeneratorKind::kBitComplement, GeneratorKind::kHotspot,
+          GeneratorKind::kBurst}) {
+      ScenarioSpec spec = base_spec(kind);
+      spec.format = format;
+      actual[to_string(kind) + "/" + to_string(format)] =
+          schedule_digest(generate_schedule(spec));
+    }
+
+  // Replay of a payload-carrying trace (recorded payloads re-injected) and
+  // of a geometry-only trace (payloads synthesized from the spec).
+  const std::string payload_path =
+      testing::TempDir() + "nocbt_pinned_payload.csv";
+  record_schedule(base_spec(GeneratorKind::kHotspot)).dump_csv(payload_path);
+  ScenarioSpec replay = base_spec(GeneratorKind::kReplay);
+  replay.trace_path = payload_path;
+  actual["replay/payload"] = schedule_digest(generate_schedule(replay));
+
+  const std::string geometry_path =
+      testing::TempDir() + "nocbt_pinned_geometry.csv";
+  noc::PacketTrace geometry;
+  for (std::uint64_t id = 0; id < 24; ++id) {
+    noc::TraceEvent e;
+    e.packet_id = id;
+    e.src = static_cast<std::int32_t>(id % 16);
+    e.dst = static_cast<std::int32_t>((id * 7 + 3) % 16);
+    e.num_flits = static_cast<std::uint32_t>(1 + id % 4);
+    e.inject_cycle = (id * 37) % 50;
+    e.eject_cycle = e.inject_cycle + 9;
+    e.hops = 2;
+    geometry.record(e);
+  }
+  geometry.dump_csv(geometry_path);
+  replay.trace_path = geometry_path;
+  actual["replay/geometry"] = schedule_digest(generate_schedule(replay));
+
+  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
+    ScenarioSpec lenet = base_spec(GeneratorKind::kPlacement);
+    lenet.format = format;
+    lenet.model = "lenet";
+    lenet.tiles_per_layer = 2;
+    actual["placement/lenet/" + to_string(format)] =
+        schedule_digest(generate_schedule(lenet));
+    ScenarioSpec resnet = lenet;
+    resnet.model = "resnet";
+    resnet.rows = 8;
+    resnet.cols = 8;
+    resnet.num_mcs = 4;
+    resnet.tiles_per_layer = 4;
+    actual["placement/resnet/" + to_string(format)] =
+        schedule_digest(generate_schedule(resnet));
+  }
+
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (const auto& [name, digest] : pinned)
+    EXPECT_EQ(actual[name], digest) << name;
 }
 
 TEST(TrafficGen, NameRoundTrip) {
