@@ -3,11 +3,14 @@
 //
 //   $ ./micro_cache                        # human-readable summary
 //   $ ./micro_cache --json BENCH_cache.json
-//   $ ./micro_cache --cache-dir DIR       # override the scratch store
+//   $ ./micro_cache --cache-dir DIR       # keep the store in DIR
 //
 // Runs the CI reference sweep twice through one on-disk cache_dir: a cold
-// pass into a freshly-wiped store (every row simulated and persisted) and
-// a warm pass over the same store (every row replayed). Self-timed — no
+// pass into an empty store (every row simulated and persisted) and a warm
+// pass over the same store (every row replayed). By default the store is
+// a fresh directory under the temp dir, removed afterwards. A --cache-dir
+// must be absent or empty, so the cold pass is cold, and is left in
+// place: the bench refuses a non-empty one rather than wiping it. Self-timed — no
 // google-benchmark dependency, so it is always built. The --json document
 // is the machine-readable gate CI asserts on: the warm pass must simulate
 // nothing (100% hit rate), replay rows byte-identical to the cold pass,
@@ -16,12 +19,17 @@
 // are informative for humans; the hit counts, the cycle-run counts and the
 // identity bit are deterministic.
 
+#include <stdlib.h>  // mkdtemp
+
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/config.h"
@@ -77,9 +85,31 @@ double now_since_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// The default store: removed with everything in it when it goes out of
+/// scope. Nothing else is ever removed.
+struct TempStore {
+  std::string dir;
+  ~TempStore() {
+    std::error_code ec;
+    if (!dir.empty()) std::filesystem::remove_all(dir, ec);
+  }
+};
+
+/// A new, empty directory under the temp dir, for this process alone.
+std::string fresh_temp_dir() {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "nocbt_micro_cache.XXXXXX")
+          .string();
+  std::vector<char> buf(path.begin(), path.end());
+  buf.push_back('\0');
+  if (mkdtemp(buf.data()) == nullptr)
+    throw std::system_error(errno, std::generic_category(),
+                            "cannot create a store under " + path);
+  return buf.data();
+}
+
 BenchRun run_cold_then_warm(const std::string& cache_dir) {
   const sim::CampaignSpec camp = reference_sweep();
-  std::filesystem::remove_all(cache_dir);  // the cold pass must be cold
   sim::RunnerConfig runner;
   runner.threads = 1;  // single-threaded so the timings compare like runs
   runner.exec.cache_dir = cache_dir;
@@ -102,12 +132,10 @@ BenchRun run_cold_then_warm(const std::string& cache_dir) {
   run.warm_misses = warm.rows.size() - warm.stats.cache_hits;
   run.rows_identical =
       sim::json_report(camp, cold) == sim::json_report(camp, warm);
-  std::filesystem::remove_all(cache_dir);
   return run;
 }
 
-int run_json(const std::string& path, const std::string& cache_dir) {
-  const BenchRun run = run_cold_then_warm(cache_dir);
+int run_json(const std::string& path, const BenchRun& run) {
   JsonWriter json;
   json.begin_object()
       .key("bench").value("micro_cache")
@@ -145,16 +173,24 @@ int run_json(const std::string& path, const std::string& cache_dir) {
 int main(int argc, char** argv) {
   try {
     std::string json_path;
-    std::string cache_dir =
-        (std::filesystem::temp_directory_path() / "nocbt_micro_cache")
-            .string();
+    std::string cache_dir;
     if (!benchutil::parse_flags(
             argc, argv, "micro_cache",
             {{"--json", &json_path}, {"--cache-dir", &cache_dir}}))
       return 2;
-    if (!json_path.empty()) return run_json(json_path, cache_dir);
-
+    std::error_code ec;
+    if (!cache_dir.empty() && std::filesystem::exists(cache_dir, ec) &&
+        !std::filesystem::is_empty(cache_dir, ec)) {
+      std::fprintf(stderr,
+                   "micro_cache: --cache-dir %s exists and is not empty\n",
+                   cache_dir.c_str());
+      return 2;
+    }
+    TempStore own;  // removed on exit, however the passes end
+    if (cache_dir.empty()) cache_dir = own.dir = fresh_temp_dir();
     const BenchRun run = run_cold_then_warm(cache_dir);
+    if (!json_path.empty()) return run_json(json_path, run);
+
     std::printf("micro_cache: %zu rows\n", run.rows);
     std::printf("  cold: %8.2f ms  (%zu simulated, %zu cycle runs)\n",
                 run.cold_ms, run.cold_simulated, run.cold_cycle_runs);

@@ -25,7 +25,6 @@ AnalyticalEngine::AnalyticalEngine(const NocConfig& cfg)
                    static_cast<std::size_t>(info.src_port)] =
           static_cast<std::int32_t>(id);
   }
-  crossings_.resize(links_.size());
   payloads_.words_per_flit = (cfg_.flit_payload_bits + 63) / 64;
 }
 
@@ -65,8 +64,7 @@ std::uint64_t AnalyticalEngine::inject(std::uint64_t cycle, std::int32_t src,
   const std::uint64_t latency = cfg_.channel_latency;
   std::uint64_t hop = 0;
   const auto cross = [&](std::int32_t link_id) {
-    crossings_[static_cast<std::size_t>(link_id)].push_back(
-        Crossing{cycle + hop * latency, idx});
+    crossings_.push_back(Crossing{cycle + hop * latency, idx, link_id});
     ++hop;
   };
   cross(injection_link_[static_cast<std::size_t>(src)]);
@@ -94,10 +92,10 @@ WireOrder AnalyticalEngine::wire_order() const {
 WireOrder AnalyticalEngine::order() const {
   WireOrderRecorder rec(links_, cfg_.flit_payload_bits);
   for (const PacketRec& p : packets_) rec.add_packet(p.flits);
-  for (std::size_t link = 0; link < crossings_.size(); ++link)
-    for (const Crossing& c : crossings_[link])
-      for (std::uint32_t f = 0; f < packets_[c.packet].flits; ++f)
-        rec.push(static_cast<std::int32_t>(link), c.packet, f);
+  // Grouped by link id, so links are visited in id order.
+  for (const Crossing& c : crossings_)
+    for (std::uint32_t f = 0; f < packets_[c.packet].flits; ++f)
+      rec.push(c.link, c.packet, f);
   return rec.finish();
 }
 
@@ -106,15 +104,17 @@ BtRecorder AnalyticalEngine::bt() const {
 }
 
 bool AnalyticalEngine::sort_link(std::size_t link, std::string& detail) {
-  auto& crossings = crossings_[link];
-  std::sort(crossings.begin(), crossings.end(),
-            [](const Crossing& a, const Crossing& b) {
-              return a.start != b.start ? a.start < b.start
-                                        : a.packet < b.packet;
-            });
+  const auto first = crossings_.begin() +
+                     static_cast<std::ptrdiff_t>(link_begin_[link]);
+  const auto last = crossings_.begin() +
+                    static_cast<std::ptrdiff_t>(link_begin_[link + 1]);
+  std::sort(first, last, [](const Crossing& a, const Crossing& b) {
+    return a.start != b.start ? a.start < b.start : a.packet < b.packet;
+  });
   std::uint64_t busy_until = 0;  // first cycle the wire is free again
-  for (const Crossing& c : crossings) {
-    if (&c != crossings.data() && c.start < busy_until) {
+  for (auto it = first; it != last; ++it) {
+    const Crossing& c = *it;
+    if (it != first && c.start < busy_until) {
       const LinkInfo& info = links_[link];
       detail = "link " + std::to_string(link) + " (" + to_string(info.kind) +
                " " + std::to_string(info.src) + " -> " +
@@ -132,10 +132,23 @@ bool AnalyticalEngine::run() {
   ran_ = true;
   contention_detail_ = unsupported_reason(cfg_);
 
-  // Every link is sorted, in link-id order; the first clashing link is the
-  // one reported.
+  // Group the crossings by link id (a stable counting sort), then sort
+  // every link, in link-id order; the first clashing link is the one
+  // reported.
+  link_begin_.assign(links_.size() + 1, 0);
+  for (const Crossing& c : crossings_)
+    ++link_begin_[static_cast<std::size_t>(c.link) + 1];
+  std::partial_sum(link_begin_.begin(), link_begin_.end(),
+                   link_begin_.begin());
+  std::vector<Crossing> grouped(crossings_.size());
+  std::vector<std::size_t> next(link_begin_.begin(), link_begin_.end() - 1);
+  for (const Crossing& c : crossings_)
+    grouped[next[static_cast<std::size_t>(c.link)]++] = c;
+  crossings_ = std::move(grouped);
+
   bool congestion_free = contention_detail_.empty();
-  for (std::size_t link = 0; link < crossings_.size(); ++link) {
+  for (std::size_t link = 0; link < links_.size(); ++link) {
+    if (link_begin_[link + 1] - link_begin_[link] < 2) continue;  // no clash
     std::string detail;
     if (!sort_link(link, detail) && congestion_free) {
       congestion_free = false;

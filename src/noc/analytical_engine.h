@@ -113,6 +113,7 @@ class AnalyticalEngine {
   struct Crossing {
     std::uint64_t start = 0;
     std::uint32_t packet = 0;  ///< index into packets_
+    std::int32_t link = -1;
   };
 
   /// Sort one link's crossings into wire order. Returns false, and fills
@@ -138,7 +139,11 @@ class AnalyticalEngine {
   /// at injection_link_[node].
   std::vector<std::int32_t> output_link_;
   std::vector<std::int32_t> injection_link_;
-  std::vector<std::vector<Crossing>> crossings_;  ///< per link id
+  /// Every crossing, in one array rather than one vector per link (most
+  /// links see only a few): in injection order until run() groups them by
+  /// link id, each link's at [link_begin_[link], link_begin_[link + 1]).
+  std::vector<Crossing> crossings_;
+  std::vector<std::size_t> link_begin_;  ///< filled by run()
 };
 
 }  // namespace nocbt::noc

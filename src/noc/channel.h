@@ -58,7 +58,9 @@ class Channel {
     const std::uint64_t arrival = now + latency_;
     if (waker_) waker_->wake(consumer_, arrival);
     if (count_ == slots_.size()) grow();
-    slots_[(head_ + count_) % slots_.size()] = {arrival, std::move(item)};
+    std::size_t tail = head_ + count_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = {arrival, std::move(item)};
     ++count_;
   }
 
@@ -66,7 +68,7 @@ class Channel {
   [[nodiscard]] std::optional<T> pop_ready(std::uint64_t now) {
     if (count_ == 0 || slots_[head_].first > now) return std::nullopt;
     T item = std::move(slots_[head_].second);
-    head_ = (head_ + 1) % slots_.size();
+    if (++head_ == slots_.size()) head_ = 0;
     --count_;
     return item;
   }

@@ -29,7 +29,9 @@ class FlitRing {
   [[nodiscard]] const Flit& front() const noexcept { return slots_[head_]; }
 
   void push_back(Flit&& flit) noexcept {
-    slots_[(head_ + count_) % slots_.size()] = std::move(flit);
+    std::size_t tail = head_ + count_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    slots_[tail] = std::move(flit);
     ++count_;
   }
 
@@ -37,7 +39,7 @@ class FlitRing {
   /// heap storage is reused by a later push's move-assignment).
   [[nodiscard]] Flit pop_front() noexcept {
     Flit flit = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    if (++head_ == slots_.size()) head_ = 0;
     --count_;
     return flit;
   }

@@ -1,6 +1,5 @@
 #include "noc/network_interface.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace nocbt::noc {
@@ -9,7 +8,7 @@ NetworkInterface::NetworkInterface(const NocConfig& cfg, std::int32_t node)
     : cfg_(cfg), node_(node), inj_arb_(static_cast<std::size_t>(cfg.num_vcs)) {
   inj_vcs_.resize(static_cast<std::size_t>(cfg.num_vcs));
   for (auto& vc : inj_vcs_) vc.credits = cfg.vc_buffer_depth;
-  inj_requests_.resize(inj_vcs_.size(), false);
+  inj_requests_.resize(mask_words(inj_vcs_.size()));
 }
 
 void NetworkInterface::connect_injection(Channel<Flit>* to_router,
@@ -54,11 +53,11 @@ void NetworkInterface::assign_packets() {
 
 void NetworkInterface::send_one_flit(std::uint64_t cycle) {
   if (!to_router_) return;
-  std::fill(inj_requests_.begin(), inj_requests_.end(), false);
   bool any = false;
   for (std::size_t v = 0; v < inj_vcs_.size(); ++v) {
+    if (v % 64 == 0) inj_requests_[v / 64] = 0;
     if (inj_vcs_[v].busy && inj_vcs_[v].credits > 0) {
-      inj_requests_[v] = true;
+      set_bit(inj_requests_, v);
       any = true;
     }
   }
@@ -68,7 +67,8 @@ void NetworkInterface::send_one_flit(std::uint64_t cycle) {
   // and contiguous flits preserve the transmission ordering the technique
   // relies on). Other VCs only get the link when the sticky one stalls.
   std::int32_t winner = -1;
-  if (sticky_vc_ >= 0 && inj_requests_[static_cast<std::size_t>(sticky_vc_)])
+  if (sticky_vc_ >= 0 &&
+      test_bit(inj_requests_, static_cast<std::size_t>(sticky_vc_)))
     winner = sticky_vc_;
   else
     winner = inj_arb_.arbitrate(inj_requests_);

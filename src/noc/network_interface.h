@@ -76,7 +76,7 @@ class NetworkInterface {
 
   std::deque<Packet> source_queue_;
   std::vector<InjectionVc> inj_vcs_;
-  std::vector<bool> inj_requests_;  ///< per-cycle arbiter scratch, reused
+  std::vector<std::uint64_t> inj_requests_;  ///< per-cycle request mask
   RoundRobinArbiter inj_arb_;
   std::int32_t sticky_vc_ = -1;  ///< VC of the packet currently streaming
   Channel<Flit>* to_router_ = nullptr;

@@ -13,9 +13,17 @@
 // VC reuse is relaxed (the downstream VC is released when the tail is
 // *sent*); FIFO order per link per VC keeps packets well-formed downstream.
 //
+// The allocators work on bit masks (noc/arbiter.h) that follow each VC's
+// state as it changes, instead of rescanning every VC every cycle: the VCs
+// waiting to be routed; per output port, the (in_port * num_vcs + vc)
+// bidders waiting for one of its VCs, and its free downstream VCs; per
+// input port, its VCs that hold an output VC. A stage with an empty mask
+// costs one test, and idle() is a counter check. Masks span as many 64-bit
+// words as their bidders need, so num_vcs has no upper bound.
+//
 // Hot-path storage is allocation-free in steady state: VC input FIFOs are
-// fixed rings sized by `vc_buffer_depth`, and the allocators' request
-// vectors are members reused every cycle instead of per-cycle temporaries.
+// fixed rings sized by `vc_buffer_depth`, and the masks are members sized
+// once in the constructor.
 
 #include <array>
 #include <cstdint>
@@ -51,7 +59,7 @@ class Router {
   bool step(std::uint64_t cycle);
 
   /// True when no flit is buffered and every VC is idle.
-  [[nodiscard]] bool idle() const noexcept;
+  [[nodiscard]] bool idle() const noexcept { return live_vcs_ == 0; }
 
   [[nodiscard]] std::int32_t id() const noexcept { return id_; }
 
@@ -59,10 +67,11 @@ class Router {
   [[nodiscard]] std::size_t buffered_flits() const noexcept;
 
  private:
-  enum class VcStage : std::uint8_t { kIdle, kRouting, kWaitingVc, kActive };
-
+  /// A VC's stage is which mask holds it: routing_ (head to route), its
+  /// output's `waiting` (routed, no output VC yet) or its input's `active`
+  /// (out_vc held until the tail leaves). In none of them it is idle, and
+  /// then its buffer is empty and out_vc is -1.
   struct VcState {
-    VcStage stage = VcStage::kIdle;
     Port out_port = kLocal;
     std::int32_t out_vc = -1;
     FlitRing buffer;
@@ -74,9 +83,11 @@ class Router {
     Channel<Flit>* in = nullptr;
     Channel<Credit>* credit_return = nullptr;
     std::vector<VcState> vcs;
+    std::vector<std::uint64_t> active;  // VCs holding an output VC
     RoundRobinArbiter vc_arb;  // picks which VC bids for the switch
 
-    InputUnit(std::size_t num_vcs, std::size_t depth) : vc_arb(num_vcs) {
+    InputUnit(std::size_t num_vcs, std::size_t depth)
+        : active(mask_words(num_vcs)), vc_arb(num_vcs) {
       vcs.reserve(num_vcs);
       for (std::size_t v = 0; v < num_vcs; ++v) vcs.emplace_back(depth);
     }
@@ -85,16 +96,14 @@ class Router {
   struct OutputUnit {
     Channel<Flit>* out = nullptr;
     Channel<Credit>* credit_in = nullptr;
-    std::vector<std::int32_t> credits;  // per downstream VC
-    std::vector<bool> vc_free;          // downstream VC not owned by a packet
-    RoundRobinArbiter vc_alloc_arb;     // among (in_port * V + vc) bidders
-    RoundRobinArbiter switch_arb;       // among input ports
+    std::vector<std::int32_t> credits;   // per downstream VC
+    std::vector<std::uint64_t> free_vcs;  // downstream VCs no packet owns
+    std::vector<std::uint64_t> waiting;   // (in_port * V + vc) bidders
+    std::uint64_t nominees = 0;  // input ports whose switch bid is here
+    RoundRobinArbiter vc_alloc_arb;  // among (in_port * V + vc) bidders
+    RoundRobinArbiter switch_arb;    // among input ports
 
-    OutputUnit(std::size_t num_vcs, std::int32_t depth)
-        : credits(num_vcs, depth),
-          vc_free(num_vcs, true),
-          vc_alloc_arb(num_vcs * kNumPorts),
-          switch_arb(kNumPorts) {}
+    OutputUnit(std::size_t num_vcs, std::int32_t depth);
   };
 
   void ingest_credits(std::uint64_t cycle);
@@ -104,19 +113,19 @@ class Router {
   void allocate_and_traverse_switch(std::uint64_t cycle);
   /// After a tail departs, restart the VC state machine if another packet's
   /// head is already queued behind it.
-  void refresh_vc(VcState& vc);
+  void refresh_vc(std::size_t in_port, std::size_t v);
 
   const NocConfig& cfg_;
   const MeshShape& shape_;
   std::int32_t id_;
+  std::size_t num_vcs_;
   std::vector<InputUnit> inputs_;    // indexed by Port
   std::vector<OutputUnit> outputs_;  // indexed by Port
 
-  // Per-cycle allocator scratch, reused to keep the step loop free of heap
-  // allocation (sized once in the constructor).
-  std::vector<bool> vc_alloc_requests_;    // num_vcs * kNumPorts bidders
-  std::vector<bool> input_vc_requests_;    // num_vcs bidders per input port
-  std::vector<bool> switch_requests_;      // kNumPorts bidders per output
+  std::vector<std::uint64_t> routing_;   // (in_port * V + vc) heads to route
+  std::vector<std::uint64_t> requests_;  // switch bids of one input port
+  std::size_t live_vcs_ = 0;     // VCs not idle (a non-empty VC is not idle)
+  std::size_t waiting_vcs_ = 0;  // bits set across every output's waiting
   std::array<std::int32_t, kNumPorts> nominee_{};  // chosen VC per input port
 };
 

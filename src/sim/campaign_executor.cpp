@@ -71,6 +71,26 @@ void parallel_for(std::size_t count, std::size_t threads, const Body& body) {
 
 }  // namespace
 
+std::vector<std::size_t> timing_first_order(
+    std::span<const std::size_t> grid_points, std::size_t threads) {
+  if (threads < 1) threads = 1;
+  std::size_t points = 0;
+  for (const std::size_t g : grid_points) points = std::max(points, g + 1);
+  std::vector<std::vector<std::size_t>> rows_of(points);
+  for (std::size_t k = 0; k < grid_points.size(); ++k)
+    rows_of[grid_points[k]].push_back(k);
+
+  std::vector<std::size_t> order;
+  order.reserve(grid_points.size());
+  for (std::size_t g = 0; g < std::min(threads, points); ++g)
+    order.push_back(rows_of[g].front());
+  for (std::size_t g = 0; g < points; ++g) {
+    order.insert(order.end(), rows_of[g].begin() + 1, rows_of[g].end());
+    if (g + threads < points) order.push_back(rows_of[g + threads].front());
+  }
+  return order;
+}
+
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerConfig& runner) {
   const ExecutionConfig& exec = runner.exec;
@@ -190,7 +210,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       }
     });
 
-  // Pass 2: simulate the rest in grid order. One schedule per traffic
+  // Pass 2: simulate the rest, timing first. One schedule per traffic
   // stream: the mode rows of a grid point share their materialized
   // generator output (expand() gives them one seed) and its one NoC timing
   // run, and the cache drops it after the last of them.
@@ -202,7 +222,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       left_specs.push_back(&scenarios[assigned[j]]);
     }
   ScheduleCache schedules(left_specs);
-  parallel_for(left.size(), threads, [&](std::size_t k) {
+  const std::vector<std::size_t> order =
+      timing_first_order(schedules.grid_points(), threads);
+  parallel_for(order.size(), threads, [&](std::size_t pos) {
+    const std::size_t k = order[pos];
     std::size_t cycle_runs = 0;
     ScenarioResult row = run_scenario_shared(*left_specs[k], spec.hooks,
                                              &schedules, &cycle_runs);

@@ -8,8 +8,10 @@
 //
 // A shard's rows take two passes at the same worker count: the first serves
 // every row the journal or the scenario cache holds, the second simulates
-// the rest in grid order, sharing one ScheduleCache built over exactly
-// those rows. The first pass is skipped when neither store is on.
+// the rest, sharing one ScheduleCache built over exactly those rows. The
+// first pass is skipped when neither store is on. The second pass hands
+// rows out in timing_first_order, so the workers time different grid
+// points at once instead of queueing on one point's timing run.
 //
 // Determinism contract: for a fixed spec, the rows a shard contributes are
 // byte-identical whether they were simulated, served by the cache, or
@@ -22,7 +24,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "sim/campaign.h"
 
@@ -65,6 +69,18 @@ struct RunnerConfig {
                      std::size_t total)>
       on_result;
 };
+
+/// The order in which run_campaign's second pass hands its rows to
+/// `threads` workers. grid_points[k] is row k's grid point, numbered in
+/// the order of each point's first row (ScheduleCache::grid_points()). A
+/// point's first row runs its timing; the rest replay it. The first rows
+/// of points 0..threads-1 go first, so each worker starts a different
+/// timing run. Then, for each point g in turn, come g's other rows and
+/// the first row of point g + threads. A point's first row is therefore
+/// never more than `threads` points early, and live schedules stay
+/// O(threads). Returns a permutation of the row indexes.
+[[nodiscard]] std::vector<std::size_t> timing_first_order(
+    std::span<const std::size_t> grid_points, std::size_t threads);
 
 /// Run (this shard of) the sweep. Returns the assigned rows in grid order
 /// plus how each was obtained; stats.warnings carries non-fatal

@@ -95,14 +95,18 @@ accel::FlitLayout flit_layout(const ScenarioSpec& spec) {
 
 /// The schedule's `mode` payloads in the flat layout the wire-order replay
 /// scores: half-half packed (weights right, inputs left, no bias — pure
-/// traffic), flits back to back.
+/// traffic), flits back to back. Sized from the schedule alone, so a row
+/// can build them before its grid point's timing run is done.
 noc::FlatPayloads build_flat_payloads(const SharedSchedule& sched,
-                                      ordering::OrderingMode mode,
-                                      std::size_t expected_flits) {
+                                      ordering::OrderingMode mode) {
   const accel::FlitLayout layout = flit_layout(sched.spec);
+  std::size_t flits = 0;
+  for (const InjectionRequest& req : sched.requests)
+    flits += accel::flits_needed(
+        static_cast<std::uint32_t>(req.weights.size()), false, layout);
   noc::FlatPayloads flat;
   flat.words_per_flit = (layout.flit_bits() + 63) / 64;
-  flat.words.reserve(expected_flits * flat.words_per_flit);
+  flat.words.reserve(flits * flat.words_per_flit);
   flat.packet_begin.reserve(sched.requests.size() + 1);
   for_each_ordered(
       sched, mode,
@@ -311,14 +315,11 @@ void build_timing(const SharedSchedule& schedule, const ModelHooks& hooks,
 
 /// The `mode` outcome of a synthetic row: its timing, and BT and per-link
 /// counters replayed over the recorded wire order.
-RunOutcome score_ordered(ordering::OrderingMode mode,
-                         const SharedSchedule& schedule,
+RunOutcome score_ordered(const noc::FlatPayloads& payloads,
                          const SharedSchedule::Timing& timing) {
   RunOutcome out = timing.baseline;  // a stalled run carries no links
   out.wall_ms = 0.0;
   if (!out.drained) return out;  // the stalled row: no replay
-  const noc::FlatPayloads payloads =
-      build_flat_payloads(schedule, mode, timing.order.flits());
   const noc::WallTimer timer;
   const noc::BtRecorder bt = noc::score_wire_order(timing.order, payloads);
   out.bt = bt.total();
@@ -440,8 +441,12 @@ const SharedSchedule::Timing& SharedSchedule::timing(const ModelHooks& hooks,
 
 ScheduleCache::ScheduleCache(std::span<const ScenarioSpec* const> rows)
     : uses_per_key_(1) {
-  for (const ScenarioSpec* spec : rows)
-    ++entries_[schedule_key(*spec)].remaining;
+  grid_points_.reserve(rows.size());
+  for (const ScenarioSpec* spec : rows) {
+    Entry& e = entries_[schedule_key(*spec)];
+    if (e.remaining++ == 0) e.grid_point = entries_.size() - 1;
+    grid_points_.push_back(e.grid_point);
+  }
 }
 
 SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
@@ -485,14 +490,18 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
     // the derived batched-ordering inputs and the timing.
     const SharedSchedulePtr schedule =
         schedules ? schedules->get(spec) : materialize_schedule(spec);
-    // A model row's own inference: its mode may change its flit counts,
-    // so it cannot replay the O0 run. It runs before the row waits on
-    // the timing another worker may be building.
+    // A mode row's own work runs before the row waits on the timing
+    // another worker may be building. A model row runs its own inference:
+    // its mode may change its flit counts, so it cannot replay the O0
+    // run. A synthetic row orders and packs the payloads it will replay.
     RunOutcome own;
+    noc::FlatPayloads payloads;
     const bool model = spec.generator == GeneratorKind::kModel;
     if (model && !baseline_is_ordered) {
       own = run_model_variant(spec, spec.mode, hooks);
       runs = 1;
+    } else if (!baseline_is_ordered) {
+      payloads = build_flat_payloads(*schedule, spec.mode);
     }
     bool built = false;
     const SharedSchedule::Timing& timing = schedule->timing(hooks, &built);
@@ -505,7 +514,7 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
       assemble_row(result, timing.baseline, timing.baseline);
     else
       assemble_row(result, timing.baseline,
-                   model ? own : score_ordered(spec.mode, *schedule, timing));
+                   model ? own : score_ordered(payloads, timing));
     // The timing run's wall clock is charged to the row that ran it.
     if (!built) result.wall_ms_baseline = 0.0;
     if (baseline_is_ordered) result.wall_ms_ordered = result.wall_ms_baseline;

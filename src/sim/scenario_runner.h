@@ -152,20 +152,31 @@ class ScheduleCache {
   /// Each key is expected once per spec in `rows` that carries it — the
   /// rows one process simulates, e.g. what is left of a shard's slice
   /// once the journal and scenario cache have served theirs. The keys
-  /// are counted here; the specs are not kept.
+  /// are counted here, and each row's grid point noted; the specs are
+  /// not kept.
   explicit ScheduleCache(std::span<const ScenarioSpec* const> rows);
 
   [[nodiscard]] SharedSchedulePtr get(const ScenarioSpec& spec);
+
+  /// The grid point of each row the span constructor counted, numbered in
+  /// the order of each point's first row: rows share a schedule and its
+  /// timing run exactly when they share a grid point. Empty after the
+  /// uses_per_key constructor.
+  [[nodiscard]] const std::vector<std::size_t>& grid_points() const noexcept {
+    return grid_points_;
+  }
 
  private:
   struct Entry {
     std::shared_future<SharedSchedulePtr> future;  ///< invalid until a get()
     std::size_t remaining = 0;  ///< expected get() calls still to come
+    std::size_t grid_point = 0;  ///< its number in grid_points()
   };
 
   std::size_t uses_per_key_;
   std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
+  std::vector<std::size_t> grid_points_;
 };
 
 /// Run one already-expanded scenario (both ordering variants).

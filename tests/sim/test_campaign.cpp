@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -675,6 +676,129 @@ TEST(ScheduleCache, DropsAnEntryAfterTheLastRowCarryingIt) {
   const SharedSchedulePtr model_first = models.get(model_o0);
   EXPECT_EQ(models.get(model_o2).get(), model_first.get());
   EXPECT_NE(models.get(model_o0).get(), model_first.get());
+}
+
+/// Every spec of `camp`'s expansion whose row is not in `served` (a
+/// stand-in for the rows the executor's first pass served).
+std::vector<ScenarioSpec> left_rows(const CampaignSpec& camp,
+                                    const std::set<std::string>& served) {
+  std::vector<ScenarioSpec> left;
+  for (const ScenarioSpec& s : camp.expand())
+    if (!served.count(s.name)) left.push_back(s);
+  return left;
+}
+
+std::vector<std::size_t> grid_points_of(const std::vector<ScenarioSpec>& rows) {
+  std::vector<const ScenarioSpec*> ptrs;
+  for (const ScenarioSpec& s : rows) ptrs.push_back(&s);
+  return ScheduleCache(ptrs).grid_points();
+}
+
+/// The dispatch contract at `threads` workers over rows whose grid points
+/// are `points`: a permutation; the first `threads` dispatches are the
+/// first rows of the first `threads` grid points; a point's first row
+/// precedes its other rows and follows every row of the point `threads`
+/// places before it, so it is never more than `threads` points early.
+void expect_timing_first(const std::vector<std::size_t>& points,
+                         std::size_t threads) {
+  SCOPED_TRACE(std::to_string(threads) + " threads");
+  const std::vector<std::size_t> order = timing_first_order(points, threads);
+  ASSERT_EQ(order.size(), points.size());
+  std::vector<std::size_t> pos(order.size(), order.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    ASSERT_LT(order[p], order.size());
+    ASSERT_EQ(pos[order[p]], order.size()) << "row " << order[p] << " twice";
+    pos[order[p]] = p;
+  }
+  std::vector<std::size_t> first_row;
+  for (std::size_t k = 0; k < points.size(); ++k)
+    if (points[k] == first_row.size()) first_row.push_back(k);
+  for (std::size_t g = 0; g < std::min(threads, first_row.size()); ++g)
+    EXPECT_EQ(order[g], first_row[g]) << "dispatch " << g;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const std::size_t g = points[k];
+    if (k != first_row[g]) {
+      EXPECT_LT(pos[first_row[g]], pos[k]) << "row " << k << " before its timing";
+    }
+    if (g + threads < first_row.size()) {
+      EXPECT_LT(pos[k], pos[first_row[g + threads]])
+          << "grid point " << g + threads << " starts before row " << k;
+    }
+  }
+}
+
+TEST(CampaignDispatch, TimingFirstOrderBoundsItsLookahead) {
+  CampaignSpec camp = small_campaign();
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kSeparated,
+                ordering::OrderingMode::kChain};
+  // sweep_contended's shape: each grid point's rows are contiguous.
+  const std::vector<ScenarioSpec> contiguous = left_rows(camp, {});
+  // sweep_zeroload's shape: the windows axis is innermost, so two grid
+  // points' rows alternate.
+  camp.windows = {16, 32};
+  const std::vector<ScenarioSpec> interleaved = left_rows(camp, {});
+  // The first pass served the O0 rows of the uniform points, so their
+  // first rows left are mode rows.
+  std::set<std::string> served;
+  for (const ScenarioSpec& s : interleaved)
+    if (s.generator == GeneratorKind::kUniform &&
+        s.mode == ordering::OrderingMode::kBaseline)
+      served.insert(s.name);
+  const std::vector<ScenarioSpec> partly = left_rows(camp, served);
+
+  const std::vector<std::size_t> contiguous_points =
+      grid_points_of(contiguous);
+  EXPECT_EQ(contiguous_points,
+            (std::vector<std::size_t>{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}));
+  const std::vector<std::size_t> interleaved_points =
+      grid_points_of(interleaved);
+  EXPECT_EQ(std::vector<std::size_t>(interleaved_points.begin(),
+                                     interleaved_points.begin() + 6),
+            (std::vector<std::size_t>{0, 1, 0, 1, 0, 1}));
+  const std::vector<std::size_t> partly_points = grid_points_of(partly);
+  EXPECT_EQ(partly.size(), interleaved.size() - 4);
+  EXPECT_EQ(partly.front().mode, ordering::OrderingMode::kSeparated);
+  for (const auto* points :
+       {&contiguous_points, &interleaved_points, &partly_points})
+    for (std::size_t threads = 1; threads <= 9; ++threads)
+      expect_timing_first(*points, threads);
+  EXPECT_TRUE(timing_first_order({}, 4).empty());
+}
+
+TEST(CampaignDispatch, SecondPassRunsInTimingFirstOrder) {
+  // One worker reports rows in the order it runs them. A cache warmed with
+  // the uniform points' O0 rows serves those in the first pass; the rest
+  // must follow timing_first_order, here each grid point's rows in turn
+  // although the windows axis interleaves two points' rows.
+  CampaignSpec camp = small_campaign();
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kSeparated};
+  camp.windows = {16, 32};
+  const std::string dir = testing::TempDir() + "nocbt_dispatch_order_cache";
+  std::filesystem::remove_all(dir);
+  RunnerConfig runner;
+  runner.exec.cache_dir = dir;
+  CampaignSpec warm_up = camp;
+  warm_up.generators = {GeneratorKind::kUniform};
+  warm_up.modes = {ordering::OrderingMode::kBaseline};
+  ASSERT_EQ(run_campaign(warm_up, runner).stats.simulated, 4u);
+
+  std::vector<std::string> reported;
+  runner.on_result = [&](const ScenarioResult& row, std::size_t,
+                         std::size_t) { reported.push_back(row.spec.name); };
+  const CampaignResult result = run_campaign(camp, runner);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(result.stats.cache_hits, 4u);
+  ASSERT_EQ(reported.size(), result.rows.size());
+
+  std::set<std::string> served(reported.begin(), reported.begin() + 4);
+  const std::vector<ScenarioSpec> left = left_rows(camp, served);
+  ASSERT_EQ(left.size(), reported.size() - 4);
+  const std::vector<std::size_t> order =
+      timing_first_order(grid_points_of(left), 1);
+  for (std::size_t p = 0; p < order.size(); ++p)
+    EXPECT_EQ(reported[4 + p], left[order[p]].name) << "dispatch " << p;
 }
 
 TEST(Campaign, CountsOneCycleRunPerGridPoint) {
