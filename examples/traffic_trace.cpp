@@ -5,8 +5,12 @@
 //
 //   $ ./traffic_trace out=/tmp/trace.csv rows=4 cols=4 mcs=2
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <exception>
+#include <iterator>
+#include <vector>
 
 #include "accel/platform.h"
 #include "common/config.h"
@@ -57,16 +61,25 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(result.total_cycles),
               static_cast<unsigned long long>(result.bt_total));
 
-  // Top links by accumulated bit transitions (the hot wires).
+  // The five links with the most bit transitions (the hot wires).
   std::puts("\nbusiest links (by BT):");
-  struct LinkRow {
-    std::int32_t id;
-    std::uint64_t bt;
-  };
-  // Re-run a fresh platform to access the recorder? Not needed: the result
-  // keeps totals; for per-link detail we rebuild a small network run here.
-  // (The InferenceResult intentionally stays small; per-link data lives in
-  // the Network, so we surface the aggregate classes instead.)
+  std::vector<noc::LinkObservation> links = result.links;
+  const auto top =
+      links.begin() + std::min<std::ptrdiff_t>(5, std::ssize(links));
+  std::partial_sort(links.begin(), top, links.end(),
+                    [](const noc::LinkObservation& a,
+                       const noc::LinkObservation& b) {
+                      if (a.transitions != b.transitions)
+                        return a.transitions > b.transitions;
+                      return a.link_id < b.link_id;
+                    });
+  for (auto link = links.begin(); link != top; ++link)
+    std::printf("  link %4d  %-12s %3d -> %-3d %9llu flits %11llu BT\n",
+                link->link_id, noc::to_string(link->info.kind).c_str(),
+                link->info.src, link->info.dst,
+                static_cast<unsigned long long>(link->flits),
+                static_cast<unsigned long long>(link->transitions));
+  std::puts("");
   std::printf("  data+result flits delivered: %llu\n",
               static_cast<unsigned long long>(result.noc_stats.flits_delivered));
   std::printf("  mean packet latency: %.1f cycles, mean hops: %.2f\n",

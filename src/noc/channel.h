@@ -74,7 +74,6 @@ class Channel {
   }
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] unsigned latency() const noexcept { return latency_; }
 
  private:
   void grow() {

@@ -1,6 +1,7 @@
 #include "noc/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,10 +20,12 @@ Network::Network(const NocConfig& cfg)
         "noc::AnalyticalEngine (or pick active | fullscan)");
   stats_.sim.engine = cfg_.engine;
   const std::size_t comps = 2 * static_cast<std::size_t>(shape_.node_count());
-  scheduled_.assign(comps, 0);
-  run_list_.reserve(comps);
-  next_list_.reserve(comps);
-  wheel_.resize(static_cast<std::size_t>(cfg_.channel_latency) + 1);
+  due_.assign(mask_words(comps), 0);
+  next_.assign(due_.size(), 0);
+  wheel_bits_.assign(cfg_.channel_latency + std::size_t{1}, 0);
+  wheel_.assign(wheel_bits_.size() * due_.size(), 0);
+  if (!active_engine_)
+    for (std::size_t comp = 0; comp < comps; ++comp) set_bit(due_, comp);
   build();
 }
 
@@ -50,8 +53,22 @@ void Network::build() {
   const std::int32_t n = shape_.node_count();
   // Component ids for the waker: NI of node i is comp i, router i is n + i.
   const auto router_comp = [n](std::int32_t node) { return n + node; };
+  routers_.reserve(static_cast<std::size_t>(n));
+  nis_.reserve(static_cast<std::size_t>(n));
   for (std::int32_t i = 0; i < n; ++i) routers_.emplace_back(cfg_, shape_, i);
   for (std::int32_t i = 0; i < n; ++i) nis_.emplace_back(cfg_, i);
+  sinks_.resize(static_cast<std::size_t>(n));
+  // Every delivery is counted, then handed to the node's sink, if any.
+  for (std::int32_t i = 0; i < n; ++i)
+    nis_[i].set_sink([this, i](Packet&& packet, std::uint64_t cycle) {
+      ++stats_.packets_delivered;
+      stats_.flits_delivered += packet.payloads.size();
+      stats_.packet_latency.add(
+          static_cast<double>(cycle - packet.inject_cycle));
+      stats_.packet_hops.add(static_cast<double>(packet.hops));
+      if (const PacketSink& sink = sinks_[static_cast<std::size_t>(i)])
+        sink(std::move(packet), cycle);
+    });
 
   // One flit channel per link, in link-id order, plus a reverse credit
   // channel. Flits are consumed downstream, returned credits upstream.
@@ -85,16 +102,7 @@ void Network::build() {
 }
 
 void Network::set_sink(std::int32_t node, PacketSink sink) {
-  NocStats* stats = &stats_;
-  nis_[node].set_sink(
-      [stats, user = std::move(sink)](Packet&& packet, std::uint64_t cycle) {
-        ++stats->packets_delivered;
-        stats->flits_delivered += packet.payloads.size();
-        stats->packet_latency.add(
-            static_cast<double>(cycle - packet.inject_cycle));
-        stats->packet_hops.add(static_cast<double>(packet.hops));
-        if (user) user(std::move(packet), cycle);
-      });
+  sinks_[static_cast<std::size_t>(node)] = std::move(sink);
 }
 
 void check_injection(const NocConfig& cfg, std::int32_t src,
@@ -134,7 +142,11 @@ std::uint64_t Network::inject(std::int32_t src, std::int32_t dst,
   stats_.flits_injected += packet.payloads.size();
   const std::uint64_t id = packet.id;
   nis_[src].enqueue(std::move(packet));
-  if (active_engine_) activate_ni(src);
+  // Mid-step (a sink callback injected), the scan visits NIs in node
+  // order: one it has not reached yet steps this cycle, one at or before
+  // it steps next cycle. Between steps current_comp_ is -1.
+  if (active_engine_) set_bit(src > current_comp_ ? due_ : next_,
+                              static_cast<std::size_t>(src));
   return id;
 }
 
@@ -155,98 +167,55 @@ WireOrder Network::take_wire_order() {
   return order;
 }
 
-void Network::wake(std::int32_t comp, std::uint64_t cycle) {
-  // Arrival cycles land in (cycle_, cycle_ + channel_latency]; the wheel's
-  // channel_latency + 1 slots map each reachable cycle to a distinct slot,
-  // and the slot for the cycle being stepped has already been drained.
-  wheel_[cycle % wheel_.size()].push_back(comp);
-  ++wheel_count_;
+std::span<std::uint64_t> Network::wheel_slot(std::size_t slot) {
+  return std::span(wheel_).subspan(slot * due_.size(), due_.size());
 }
 
-void Network::activate_ni(std::int32_t node) {
-  if (!stepping_) {
-    // Between steps: schedule for the upcoming step() (this cycle).
-    if (!scheduled_[static_cast<std::size_t>(node)]) {
-      scheduled_[static_cast<std::size_t>(node)] = 1;
-      run_list_.push_back(node);
-    }
-    return;
-  }
-  // Mid-step (a sink callback injected): the full scan visits NIs in node
-  // order, so a target the scan has not reached yet must still run this
-  // cycle; one at or before the current position runs next cycle.
-  if (node > current_comp_) {
-    if (!scheduled_[static_cast<std::size_t>(node)]) {
-      scheduled_[static_cast<std::size_t>(node)] = 1;
-      run_list_.insert(std::lower_bound(run_list_.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                run_pos_ + 1),
-                                        run_list_.end(), node),
-                       node);
-    }
-  } else {
-    // Already stepped (or currently stepping) this cycle; the enqueue is
-    // seen next cycle. The NI's own step-return usually keeps it active —
-    // the wheel entry covers the race where it already reported idle.
-    wake(node, cycle_ + 1);
-  }
+void Network::wake(std::int32_t comp, std::uint64_t cycle) {
+  // The mask of the cycle being stepped was emptied when its step began.
+  std::size_t s = wheel_now_ + static_cast<std::size_t>(cycle - cycle_);
+  if (s >= wheel_bits_.size()) s -= wheel_bits_.size();
+  const std::span<std::uint64_t> slot = wheel_slot(s);
+  const auto bit = static_cast<std::size_t>(comp);
+  if (test_bit(slot, bit)) return;
+  set_bit(slot, bit);
+  ++wheel_bits_[s];
 }
 
 void Network::step() {
-  if (active_engine_)
-    step_active();
-  else
-    step_full_scan();
+  const auto n = static_cast<std::size_t>(shape_.node_count());
+  if (wheel_bits_[wheel_now_] != 0) {
+    const std::span<std::uint64_t> slot = wheel_slot(wheel_now_);
+    for (std::size_t w = 0; w < due_.size(); ++w)
+      due_[w] |= std::exchange(slot[w], 0);
+    wheel_bits_[wheel_now_] = 0;
+  }
+
+  std::uint64_t stepped = 0;
+  for (std::size_t w = 0; w < due_.size(); ++w) {
+    // Re-read the word after each component: a sink's inject() may have
+    // made a later NI due.
+    for (std::uint64_t bits = due_[w]; bits != 0;) {
+      const auto b = static_cast<unsigned>(std::countr_zero(bits));
+      const std::size_t comp = w * 64 + b;
+      current_comp_ = static_cast<std::int32_t>(comp);
+      if (comp < n ? nis_[comp].step(cycle_) : routers_[comp - n].step(cycle_))
+        set_bit(next_, comp);
+      ++stepped;
+      bits = due_[w] & (~std::uint64_t{1} << b);
+    }
+    if (active_engine_) due_[w] = 0;
+  }
+  current_comp_ = -1;
+  // The full scan keeps every bit of due_ set and never reads next_.
+  if (active_engine_) due_.swap(next_);
+
+  stats_.sim.components_stepped += stepped;
+  stats_.sim.components_skipped += 2 * n - stepped;
+  if (++wheel_now_ == wheel_bits_.size()) wheel_now_ = 0;
   ++cycle_;
   stats_.cycles = cycle_;
   ++stats_.sim.cycles_stepped;
-}
-
-void Network::step_full_scan() {
-  for (auto& ni : nis_) ni.step(cycle_);
-  for (auto& router : routers_) router.step(cycle_);
-  stats_.sim.components_stepped +=
-      2 * static_cast<std::uint64_t>(shape_.node_count());
-}
-
-void Network::step_active() {
-  const std::int32_t n = shape_.node_count();
-
-  // Merge wakes due this cycle into the worklist (deduped by the flag).
-  auto& due = wheel_[cycle_ % wheel_.size()];
-  for (const std::int32_t comp : due) {
-    if (!scheduled_[static_cast<std::size_t>(comp)]) {
-      scheduled_[static_cast<std::size_t>(comp)] = 1;
-      run_list_.push_back(comp);
-    }
-  }
-  wheel_count_ -= due.size();
-  due.clear();
-
-  // Sorted order reproduces the full scan: NIs (ids < n) in node order
-  // first, then routers.
-  std::sort(run_list_.begin(), run_list_.end());
-
-  next_list_.clear();
-  stepping_ = true;
-  for (run_pos_ = 0; run_pos_ < run_list_.size(); ++run_pos_) {
-    const std::int32_t comp = run_list_[run_pos_];
-    current_comp_ = comp;
-    const bool again = comp < n
-                           ? nis_[comp].step(cycle_)
-                           : routers_[comp - n].step(cycle_);
-    if (again)
-      next_list_.push_back(comp);  // keeps its scheduled_ flag
-    else
-      scheduled_[static_cast<std::size_t>(comp)] = 0;
-  }
-  stepping_ = false;
-  current_comp_ = -1;
-
-  stats_.sim.components_stepped += run_list_.size();
-  stats_.sim.components_skipped +=
-      2 * static_cast<std::uint64_t>(n) - run_list_.size();
-  run_list_.swap(next_list_);
 }
 
 void Network::advance_idle(std::uint64_t cycles) {
@@ -266,7 +235,10 @@ bool Network::run_until_idle(std::uint64_t max_cycles) {
 }
 
 bool Network::idle() const noexcept {
-  if (active_engine_) return run_list_.empty() && wheel_count_ == 0;
+  if (active_engine_)
+    return std::all_of(wheel_bits_.begin(), wheel_bits_.end(),
+                       [](std::size_t bits) { return bits == 0; }) &&
+           !any_bit(due_);
   return idle_full_scan();
 }
 
@@ -293,9 +265,10 @@ std::size_t Network::buffered_flits() const noexcept {
 }
 
 std::size_t Network::active_components() const noexcept {
-  if (!active_engine_)
-    return 2 * static_cast<std::size_t>(shape_.node_count());
-  return run_list_.size();
+  std::size_t due = 0;
+  for (const std::uint64_t word : due_)
+    due += static_cast<std::size_t>(std::popcount(word));
+  return due;
 }
 
 }  // namespace nocbt::noc

@@ -18,32 +18,35 @@
 // would hold a whole run's flit words in memory, and this charge is the
 // independent reference the replay is tested against.
 //
-// Two step-loop engines share the identical component models
-// (NocConfig::engine):
+// One step loop serves both cycle engines (NocConfig::engine). Component
+// ids are [0, n) for the NI of node i and [n, 2n) for router i; bit i of
+// a component mask is component i. step() visits the set bits of the due
+// mask in ascending id order, so every cycle runs all NIs in node order,
+// then all routers.
 //
-//   kActiveSet (default) — event-skipping worklist. step() visits only the
-//   components registered as able to make progress: a component stays on
-//   the worklist while its step() reports remaining internal state, and
-//   quiescent components are woken by their channels exactly at the cycle
-//   a pushed flit/credit arrives (a small timing wheel holds future
-//   wakes). idle() is an O(1) check of the worklist and wheel counters.
+//   kActiveSet (default) — the due mask holds only the components that can
+//   make progress: a component stays due while its step() reports
+//   remaining internal state, and a quiescent one is woken by its channels
+//   exactly at the cycle a pushed flit/credit arrives (a timing wheel of
+//   channel_latency + 1 masks holds future wakes). idle() reads the
+//   wheel's bit counts and tests the due mask.
 //
-//   kFullScan — the retained naive reference: every NI and router steps
-//   every cycle, idle() scans the whole mesh. Differential suites pin the
-//   active-set engine byte-identical (cycles, BT, delivery order, stats)
-//   against it.
+//   kFullScan — the retained naive reference: the due mask holds every
+//   component every cycle, and idle() scans the whole mesh. Differential
+//   suites pin the active-set engine byte-identical (cycles, BT, delivery
+//   order, stats) against it.
 //
 // Skipping is exact, not approximate: a skipped component is one whose
 // step() would have been a no-op (all cross-component communication rides
 // channels with >= 1 cycle latency, so a component with no internal state
-// and no arriving item cannot act), and per-cycle component order is kept
-// sorted (all NIs in node order, then all routers) so even floating-point
-// statistic accumulation order matches the full scan.
+// and no arriving item cannot act), and both engines step components in
+// the same order, so even floating-point statistic accumulation matches.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "noc/bt_recorder.h"
@@ -77,7 +80,8 @@ class Network : private ChannelWaker {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Install a delivery callback for packets arriving at `node`.
+  /// Install a delivery callback for packets arriving at `node`. The
+  /// delivery statistics count every packet, with or without one.
   void set_sink(std::int32_t node, PacketSink sink);
 
   /// Submit a packet. Each payload must be exactly `flit_payload_bits` wide;
@@ -109,8 +113,9 @@ class Network : private ChannelWaker {
   /// grinding through millions of no-op steps.
   void advance_idle(std::uint64_t cycles);
 
-  /// True when all routers, NIs and channels are empty. O(1) under the
-  /// active-set engine; a full mesh scan under the full-scan reference.
+  /// True when all routers, NIs and channels are empty. The wheel's bit
+  /// counts and a test of the due mask under the active-set engine; a
+  /// full mesh scan under the full-scan reference.
   [[nodiscard]] bool idle() const noexcept;
 
   [[nodiscard]] std::uint64_t cycle() const noexcept { return cycle_; }
@@ -127,8 +132,8 @@ class Network : private ChannelWaker {
   /// Total flits buffered inside routers (diagnostics / livelock checks).
   [[nodiscard]] std::size_t buffered_flits() const noexcept;
 
-  /// Components (NIs + routers) currently on the active worklist. Always
-  /// the full component count under the full-scan reference.
+  /// Components (NIs + routers) due at the next step(). Always the full
+  /// component count under the full-scan reference.
   [[nodiscard]] std::size_t active_components() const noexcept;
 
  private:
@@ -140,11 +145,8 @@ class Network : private ChannelWaker {
   /// ChannelWaker: schedule component `comp` to step at `cycle` (the
   /// arrival cycle of an item just pushed into one of its input channels).
   void wake(std::int32_t comp, std::uint64_t cycle) override;
-  /// Put `src`'s NI on the worklist after an inject() — mid-step, the NI is
-  /// slotted into the current cycle iff the full scan would still reach it.
-  void activate_ni(std::int32_t node);
-  void step_active();
-  void step_full_scan();
+  /// Wheel mask `slot`.
+  [[nodiscard]] std::span<std::uint64_t> wheel_slot(std::size_t slot);
   [[nodiscard]] bool idle_full_scan() const noexcept;
 
   NocConfig cfg_;
@@ -155,26 +157,22 @@ class Network : private ChannelWaker {
   std::uint64_t cycle_ = 0;
   std::uint64_t next_packet_id_ = 0;
 
-  std::deque<Router> routers_;
-  std::deque<NetworkInterface> nis_;
+  std::vector<Router> routers_;
+  std::vector<NetworkInterface> nis_;
   std::deque<Channel<Flit>> flit_channels_;
   std::deque<Channel<Credit>> credit_channels_;
+  std::vector<PacketSink> sinks_;  ///< per node, set by set_sink()
 
-  // Active-set state. Component ids: [0, n) = NI of node i, [n, 2n) =
-  // router i, so a sorted worklist reproduces the full scan's "all NIs in
-  // node order, then all routers" order exactly.
   bool active_engine_ = true;
-  std::vector<std::int32_t> run_list_;   ///< components to step next step()
-  std::vector<std::int32_t> next_list_;  ///< scratch: survivors of this step
-  std::vector<std::uint8_t> scheduled_;  ///< comp is in run_list_/next_list_
-  /// Timing wheel of future channel-arrival wakes, indexed by cycle modulo
-  /// wheel size (channel_latency + 1 covers every reachable arrival).
-  /// Entries may repeat a component; the merge into run_list_ dedupes.
-  std::vector<std::vector<std::int32_t>> wheel_;
-  std::size_t wheel_count_ = 0;  ///< total entries across all wheel slots
-  bool stepping_ = false;        ///< inside step_active()'s component loop
-  std::size_t run_pos_ = 0;      ///< index into run_list_ during a step
-  std::int32_t current_comp_ = -1;  ///< component currently being stepped
+  /// Components to step this cycle (all of them under the full scan).
+  std::vector<std::uint64_t> due_;
+  std::vector<std::uint64_t> next_;  ///< components to step next cycle
+  /// Timing wheel: channel_latency + 1 masks of due_.size() words, so
+  /// every arrival, in (cycle_, cycle_ + channel_latency], has its own.
+  std::vector<std::uint64_t> wheel_;
+  std::vector<std::size_t> wheel_bits_;  ///< bits set per wheel mask
+  std::size_t wheel_now_ = 0;            ///< wheel mask of cycle_
+  std::int32_t current_comp_ = -1;       ///< component being stepped, or -1
 };
 
 }  // namespace nocbt::noc

@@ -1,6 +1,7 @@
 #include "noc/network_interface.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace nocbt::noc {
 
@@ -9,6 +10,7 @@ NetworkInterface::NetworkInterface(const NocConfig& cfg, std::int32_t node)
   inj_vcs_.resize(static_cast<std::size_t>(cfg.num_vcs));
   for (auto& vc : inj_vcs_) vc.credits = cfg.vc_buffer_depth;
   inj_requests_.resize(mask_words(inj_vcs_.size()));
+  reassembly_.resize(static_cast<std::size_t>(cfg.num_vcs));
 }
 
 void NetworkInterface::connect_injection(Channel<Flit>* to_router,
@@ -115,28 +117,29 @@ void NetworkInterface::drain_ejection(std::uint64_t cycle) {
   while (auto flit = from_router_->pop_ready(cycle)) {
     if (credit_to_router_) credit_to_router_->push(cycle, Credit{flit->vc});
 
-    Packet& pkt = reassembly_[flit->packet_id];
+    Packet& pkt = reassembly_[static_cast<std::size_t>(flit->vc)];
     if (pkt.payloads.empty()) {
       pkt.id = flit->packet_id;
       pkt.src = flit->src;
       pkt.dst = flit->dst;
       pkt.inject_cycle = flit->inject_cycle;
       pkt.payloads.resize(flit->num_flits);
+      ++reassembling_;
     }
     pkt.payloads[flit->seq] = std::move(flit->payload);
 
     if (is_tail(flit->kind)) {
       pkt.eject_cycle = cycle;
       pkt.hops = flit->hops;
-      Packet done = std::move(pkt);
-      reassembly_.erase(flit->packet_id);
+      Packet done = std::exchange(pkt, Packet{});
+      --reassembling_;
       if (sink_) sink_(std::move(done), cycle);
     }
   }
 }
 
 bool NetworkInterface::idle() const noexcept {
-  if (!source_queue_.empty() || !reassembly_.empty()) return false;
+  if (!source_queue_.empty() || reassembling_ != 0) return false;
   for (const auto& vc : inj_vcs_)
     if (vc.busy) return false;
   return true;

@@ -6,13 +6,14 @@
 // packets are in flight concurrently, one per virtual channel, with
 // credit-based backpressure toward the router's local input port.
 // Ejection side: flits are drained from the router's local output port,
-// reassembled per packet id, and delivered to the node's sink callback;
-// a credit returns to the router for every drained flit.
+// reassembled in one slot per ejection VC, and delivered to the node's
+// sink callback; a credit returns to the router for every drained flit. A
+// VC carries one packet from head to tail, and its channel delivers that
+// tail before the next packet's head, so a slot never holds two packets.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "noc/arbiter.h"
@@ -84,7 +85,8 @@ class NetworkInterface {
 
   Channel<Flit>* from_router_ = nullptr;
   Channel<Credit>* credit_to_router_ = nullptr;
-  std::unordered_map<std::uint64_t, Packet> reassembly_;
+  std::vector<Packet> reassembly_;  ///< one slot per ejection VC
+  std::size_t reassembling_ = 0;    ///< slots holding a partial packet
   PacketSink sink_;
 };
 

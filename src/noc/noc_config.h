@@ -12,14 +12,16 @@ namespace nocbt::noc {
 
 /// Which simulation backend produces a run's measurements.
 ///
-/// kActiveSet is the production cycle engine: `step()` visits only the
-/// components (routers/NIs) that can make progress this cycle — quiescent
-/// components are skipped entirely and woken by their channels when a flit
-/// or credit arrives — and `idle()` is an O(1) counter check. kFullScan is
-/// the retained naive reference that unconditionally walks every component
-/// every cycle; it exists so differential tests (and micro_noc) can prove
-/// the active-set engine cycle- and BT-exact against it. Both cycle engines
-/// are observationally identical; they differ in wall-clock only.
+/// Both cycle engines run one step loop (Network::step), which steps the
+/// components (NIs, then routers) set in a due mask in id order.
+/// kActiveSet is the production engine: the mask holds only the components
+/// that can make progress this cycle — quiescent ones are skipped and
+/// woken by their channels when a flit or credit arrives — and `idle()`
+/// reads a few counters and one mask. kFullScan is the retained naive
+/// reference: every component steps every cycle, and `idle()` scans the
+/// whole mesh; it exists so differential tests (and micro_noc) can prove
+/// the active set cycle- and BT-exact against it. Both cycle engines are
+/// observationally identical; they differ in wall-clock only.
 ///
 /// kAnalytical does not step cycles at all: it computes per-link flit
 /// loads, bit transitions, zero-load latencies and drain time directly
@@ -28,7 +30,7 @@ namespace nocbt::noc {
 /// congestion-free, and it proves that precondition itself. Network only
 /// runs the two cycle engines; selecting kAnalytical there throws.
 enum class SimEngine : std::uint8_t {
-  kActiveSet,   ///< event-skipping worklist cycle engine (default)
+  kActiveSet,   ///< steps only the components due (default)
   kFullScan,    ///< naive all-components-every-cycle reference
   kAnalytical,  ///< zero-load analytical backend (noc::AnalyticalEngine)
 };

@@ -25,13 +25,6 @@ struct NocStats {
   RunningStat packet_latency;
   /// Inter-router hops per packet.
   RunningStat packet_hops;
-
-  /// Delivered flits per cycle per node — a throughput figure of merit.
-  [[nodiscard]] double flit_throughput(std::int32_t nodes) const noexcept {
-    if (cycles == 0 || nodes <= 0) return 0.0;
-    return static_cast<double>(flits_delivered) /
-           (static_cast<double>(cycles) * nodes);
-  }
 };
 
 }  // namespace nocbt::noc

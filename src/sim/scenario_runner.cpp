@@ -153,8 +153,6 @@ RunOutcome run_cycle_timing(const ScenarioSpec& spec,
   noc::Network net(spec.noc_config());
   net.record_wire_order();
   const std::int32_t nodes = spec.rows * spec.cols;
-  for (std::int32_t node = 0; node < nodes; ++node)
-    net.set_sink(node, nullptr);  // stats-only sink
 
   std::size_t next_req = 0;
   const auto* pending = next_req < schedule.size() ? &schedule[next_req]

@@ -1,10 +1,10 @@
 // Differential suite for the two simulation engines: the active-set
-// worklist engine must be byte-identical to the retained naive full-scan
+// engine must be byte-identical to the retained naive full-scan
 // reference — same cycle counts, same idle() answers every cycle, same BT
 // totals and per-link counters, same delivery order, same transport stats
 // — across mesh shapes, traffic patterns, channel latencies and
 // advance_idle interleavings. The engines share the component models, so
-// any divergence here is a worklist/wakeup bug.
+// any divergence here is a due-mask/wakeup bug.
 
 #include <gtest/gtest.h>
 
@@ -293,8 +293,8 @@ TEST(ActiveSetEngine, WorklistDrainsToZeroAndProfilerCounts) {
 TEST(ActiveSetEngine, MidStepSinkInjectionMatchesFullScan) {
   // A sink that immediately injects a response (the accelerator platform's
   // PE -> MC result path) from inside the delivery callback: the injection
-  // happens mid-step, exercising the worklist's in-cycle insertion rules
-  // for targets before and after the currently-stepped NI.
+  // happens mid-step, from the NI being stepped, to destinations before
+  // and after it.
   const auto run = [](SimEngine engine) {
     NocConfig cfg = config_for(4, 4);
     cfg.engine = engine;
@@ -318,6 +318,41 @@ TEST(ActiveSetEngine, MidStepSinkInjectionMatchesFullScan) {
   EXPECT_EQ(active_log, full_log);
   EXPECT_EQ(active_cycles, full_cycles);
   ASSERT_EQ(active_log.size(), 4u);  // 2 requests + 2 bounced replies
+}
+
+TEST(ActiveSetEngine, MidStepInjectionFromAnotherNiMatchesFullScan) {
+  // A sink that injects from another node's NI: one the scan has not
+  // reached yet must step this cycle, and one it has passed next cycle,
+  // exactly when the full scan would see the packet. The 9x8 mesh has 72
+  // NIs, so the due mask spans two words and some sources sit in the word
+  // after the delivering NI's (and some in the word before).
+  const auto run = [](SimEngine engine) {
+    NocConfig cfg = config_for(9, 8);
+    cfg.engine = engine;
+    Network net(cfg);
+    const std::int32_t nodes = cfg.node_count();
+    DeliveryLog log;
+    for (std::int32_t node = 0; node < nodes; ++node)
+      net.set_sink(node, [&, node](Packet&& p, std::uint64_t cycle) {
+        log.emplace_back(cycle, p.id);
+        // Forward once, from the mirror node's NI back to this node.
+        if (p.payloads.size() > 1)
+          net.inject(nodes - 1 - node, node, make_payloads(64, 1, p.id));
+      });
+    // Deliveries at 2 and 20 forward from later NIs (69 in the next word,
+    // 51 in the same one); at 60 and 70, from earlier NIs (11 and 1).
+    net.inject(40, 2, make_payloads(64, 3, 1));
+    net.inject(33, 20, make_payloads(64, 2, 2));
+    net.inject(5, 60, make_payloads(64, 4, 3));
+    net.inject(65, 70, make_payloads(64, 2, 4));
+    EXPECT_TRUE(net.run_until_idle(10'000));
+    return std::make_pair(log, net.cycle());
+  };
+  const auto [active_log, active_cycles] = run(SimEngine::kActiveSet);
+  const auto [full_log, full_cycles] = run(SimEngine::kFullScan);
+  EXPECT_EQ(active_log, full_log);
+  EXPECT_EQ(active_cycles, full_cycles);
+  ASSERT_EQ(active_log.size(), 8u);  // 4 requests + 4 forwarded packets
 }
 
 }  // namespace

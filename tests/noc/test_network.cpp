@@ -209,20 +209,28 @@ TEST(Network, HopCountMatchesManhattanUnderXY) {
 
 TEST(Network, HeavyRandomTrafficDrains) {
   // Fire a burst of random traffic well above sustainable load and verify
-  // the network eventually drains with every packet delivered once.
+  // the network eventually drains with every packet delivered once, its
+  // payloads intact: an NI reassembles flits of packets that interleave
+  // across its ejection VCs.
   Network net(small_config());
   Rng rng(11);
+  std::map<std::uint64_t, std::vector<BitVec>> sent;
   std::map<std::uint64_t, int> delivered;
+  std::size_t corrupted = 0;
   for (std::int32_t node = 0; node < 16; ++node)
-    net.set_sink(node,
-                 [&](Packet&& p, std::uint64_t) { ++delivered[p.id]; });
+    net.set_sink(node, [&](Packet&& p, std::uint64_t) {
+      ++delivered[p.id];
+      if (p.payloads != sent.at(p.id)) ++corrupted;
+    });
 
   std::size_t injected = 0;
   for (int round = 0; round < 50; ++round) {
     for (std::int32_t src = 0; src < 16; ++src) {
       const auto dst = static_cast<std::int32_t>(rng.uniform_int(0, 15));
       const int flits = static_cast<int>(rng.uniform_int(1, 6));
-      net.inject(src, dst, make_payloads(64, flits, rng.bits64()));
+      std::vector<BitVec> payloads = make_payloads(64, flits, rng.bits64());
+      const std::uint64_t id = net.inject(src, dst, payloads);
+      sent.emplace(id, std::move(payloads));
       ++injected;
     }
     // Interleave some simulation so source queues stay bounded.
@@ -231,7 +239,21 @@ TEST(Network, HeavyRandomTrafficDrains) {
   ASSERT_TRUE(net.run_until_idle(1'000'000));
   EXPECT_EQ(delivered.size(), injected);
   for (const auto& [id, count] : delivered) EXPECT_EQ(count, 1) << id;
+  EXPECT_EQ(corrupted, 0u);
   EXPECT_EQ(net.buffered_flits(), 0u);
+}
+
+TEST(Network, DeliveryStatsCountNodesWithoutSink) {
+  // The delivery counters do not depend on set_sink: a node that never
+  // got a sink still counts the packets it receives.
+  Network net(small_config());
+  net.inject(0, 5, make_payloads(64, 2, 9));
+  ASSERT_TRUE(net.run_until_idle(1'000));
+  const NocStats& s = net.stats();
+  EXPECT_EQ(s.packets_delivered, 1u);
+  EXPECT_EQ(s.flits_delivered, 2u);
+  EXPECT_EQ(s.packet_latency.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.packet_hops.mean(), 2.0);
 }
 
 TEST(Network, YXRoutingAlsoDelivers) {
