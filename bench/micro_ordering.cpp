@@ -11,7 +11,6 @@
 // future changes have a regression trajectory to compare against. No
 // google-benchmark dependency, so it is always built.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/field_reader.h"
 #include "common/json_writer.h"
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
@@ -305,10 +305,7 @@ int main(int argc, char** argv) {
     return 2;
   std::size_t window_values = 32;
   if (!window_text.empty()) {
-    const auto [ptr, ec] =
-        std::from_chars(window_text.data(),
-                        window_text.data() + window_text.size(), window_values);
-    if (ec != std::errc{} || ptr != window_text.data() + window_text.size() ||
+    if (parse_field(window_text, window_values) != std::errc{} ||
         window_values < 2 || window_values > 1'000'000) {
       std::fprintf(stderr,
                    "micro_ordering: --window must be an integer in "

@@ -3,24 +3,16 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/field_reader.h"
+
 namespace nocbt {
 
 std::int64_t parse_int_strict(const std::string& s) {
-  std::size_t pos = 0;
-  const std::int64_t v = std::stoll(s, &pos);
-  if (pos != s.size())
-    throw std::invalid_argument("parse_int_strict: trailing characters in '" +
-                                s + "'");
-  return v;
+  return parse_field_or_throw<std::int64_t>(s, "an integer");
 }
 
 double parse_double_strict(const std::string& s) {
-  std::size_t pos = 0;
-  const double v = std::stod(s, &pos);
-  if (pos != s.size())
-    throw std::invalid_argument(
-        "parse_double_strict: trailing characters in '" + s + "'");
-  return v;
+  return parse_field_or_throw<double>(s, "a number");
 }
 
 std::vector<std::string> split_csv_list(const std::string& csv) {
@@ -92,8 +84,7 @@ std::int64_t Options::get_int(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   try {
-    // Strict parse: stoll alone accepts trailing garbage ("32abc" parses
-    // as 32, silently running a typo'd sweep).
+    // Strict parse: "32abc" must not run a typo'd sweep as 32.
     return parse_int_strict(it->second);
   } catch (const std::exception&) {
     throw std::invalid_argument("Options: '" + key + "' is not an integer: " +

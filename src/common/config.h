@@ -11,10 +11,13 @@
 
 namespace nocbt {
 
-/// Strict full-string numeric parses: the entire string must be consumed,
-/// so trailing garbage ("32abc", "0.5x") throws std::invalid_argument
-/// instead of silently truncating. The single home of the stoll/stod +
-/// pos-check idiom — Options getters and other CLI parsers build on these.
+/// Strict full-string numeric parses: thin throwing wrappers over
+/// parse_field (common/field_reader.h), the single home of strict number
+/// parsing. The whole string must parse, so "32abc", "0.5x", "+1", " 1"
+/// and hex floats throw instead of running a truncated value. Options
+/// getters, the campaign windows= list and parse_energy_point build on
+/// these; the scenario-cache record codec, the journal header,
+/// PacketTrace::load_csv and parse_shard_spec read through parse_field.
 [[nodiscard]] std::int64_t parse_int_strict(const std::string& s);
 [[nodiscard]] double parse_double_strict(const std::string& s);
 

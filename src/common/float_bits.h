@@ -3,8 +3,7 @@
 //
 // The ordering technique keys on the raw bit pattern of each transmitted
 // value; for float-32 traffic that is the IEEE-754 encoding. These helpers
-// expose the pattern and its sign/exponent/mantissa fields (used by the
-// Fig. 10 bit-distribution analysis).
+// convert between a float and its pattern.
 
 #include <bit>
 #include <cstdint>
@@ -19,27 +18,6 @@ namespace nocbt {
 /// Float from a raw IEEE-754 bit pattern.
 [[nodiscard]] constexpr float bits_to_float(std::uint32_t bits) noexcept {
   return std::bit_cast<float>(bits);
-}
-
-/// Sign bit (bit 31).
-[[nodiscard]] constexpr bool float_sign(std::uint32_t bits) noexcept {
-  return (bits >> 31) & 1u;
-}
-
-/// Biased 8-bit exponent (bits 30..23).
-[[nodiscard]] constexpr std::uint32_t float_exponent(std::uint32_t bits) noexcept {
-  return (bits >> 23) & 0xFFu;
-}
-
-/// 23-bit mantissa (bits 22..0).
-[[nodiscard]] constexpr std::uint32_t float_mantissa(std::uint32_t bits) noexcept {
-  return bits & 0x7FFFFFu;
-}
-
-/// Number of '1' bits in the IEEE-754 pattern of `f` — the ordering key for
-/// float-32 data.
-[[nodiscard]] constexpr int float_popcount(float f) noexcept {
-  return std::popcount(float_to_bits(f));
 }
 
 }  // namespace nocbt

@@ -1,49 +1,15 @@
 #include "noc/trace.h"
 
-#include <cctype>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/csv.h"
+#include "common/field_reader.h"
 
 namespace nocbt::noc {
 
 namespace {
-
-std::vector<std::string> split_row(const std::string& line) {
-  // Plain find-based split: this is the library's only bulk-input path, so
-  // avoid a stringstream per row.
-  std::vector<std::string> cells;
-  std::size_t start = 0;
-  for (std::size_t comma = line.find(','); comma != std::string::npos;
-       comma = line.find(',', start)) {
-    cells.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  cells.push_back(line.substr(start));
-  return cells;
-}
-
-/// Whole-cell unsigned parse with an explicit range cap: rejects trailing
-/// garbage ("12abc"), signs/whitespace, and values the target field would
-/// truncate.
-std::uint64_t parse_u64(const std::string& cell, std::uint64_t max_value) {
-  if (cell.empty() || !std::isdigit(static_cast<unsigned char>(cell[0])))
-    throw std::invalid_argument("not a non-negative integer: " + cell);
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(cell, &pos);
-  } catch (const std::out_of_range&) {
-    // stoull's own message is just "stoull" — name the offending cell.
-    throw std::out_of_range("value out of range: " + cell);
-  }
-  if (pos != cell.size())
-    throw std::invalid_argument("trailing garbage: " + cell);
-  if (v > max_value) throw std::out_of_range("value out of range: " + cell);
-  return v;
-}
 
 /// Payload cell: each 32-bit word as exactly 8 lowercase hex digits,
 /// concatenated (empty cell = no payload).
@@ -57,7 +23,7 @@ std::string format_payload(const std::vector<std::uint32_t>& words) {
   return cell;
 }
 
-std::vector<std::uint32_t> parse_payload(const std::string& cell) {
+std::vector<std::uint32_t> parse_payload(std::string_view cell) {
   if (cell.size() % 8 != 0)
     throw std::invalid_argument(
         "payload of " + std::to_string(cell.size()) +
@@ -84,25 +50,10 @@ std::vector<std::uint32_t> parse_payload(const std::string& cell) {
   return words;
 }
 
-std::int32_t parse_i32(const std::string& cell) {
-  // Same whole-cell strictness as parse_u64, with an optional leading '-'.
-  const std::size_t digit_at = (!cell.empty() && cell[0] == '-') ? 1 : 0;
-  if (cell.size() <= digit_at ||
-      !std::isdigit(static_cast<unsigned char>(cell[digit_at])))
-    throw std::invalid_argument("not an integer: " + cell);
-  std::size_t pos = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(cell, &pos);
-  } catch (const std::out_of_range&) {
-    throw std::out_of_range("value out of range: " + cell);
-  }
-  if (pos != cell.size())
-    throw std::invalid_argument("trailing garbage: " + cell);
-  if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max())
-    throw std::out_of_range("value out of range: " + cell);
-  return static_cast<std::int32_t>(v);
+/// A count or cycle cell, which must be unsigned.
+template <typename T>
+T parse_count(std::string_view cell) {
+  return parse_field_or_throw<T>(cell, "a non-negative integer");
 }
 
 }  // namespace
@@ -168,35 +119,31 @@ PacketTrace PacketTrace::load_csv(const std::string& path) {
     ++row;
     strip_cr(line);
     if (line.empty()) continue;
-    const auto cells = split_row(line);
-    if (cells.size() != expected_cells)
+    FieldReader cells(line);
+    if (cells.remaining() != expected_cells)
       throw std::runtime_error("PacketTrace::load_csv: row " +
                                std::to_string(row) + " has " +
-                               std::to_string(cells.size()) + " cells");
+                               std::to_string(cells.remaining()) + " cells");
     try {
       TraceEvent e;
-      e.packet_id = parse_u64(cells[0], std::numeric_limits<std::uint64_t>::max());
-      e.src = parse_i32(cells[1]);
-      e.dst = parse_i32(cells[2]);
-      e.num_flits = static_cast<std::uint32_t>(
-          parse_u64(cells[3], std::numeric_limits<std::uint32_t>::max()));
-      e.inject_cycle =
-          parse_u64(cells[4], std::numeric_limits<std::uint64_t>::max());
-      e.eject_cycle =
-          parse_u64(cells[5], std::numeric_limits<std::uint64_t>::max());
+      e.packet_id = parse_count<std::uint64_t>(cells.next());
+      e.src = parse_field_or_throw<std::int32_t>(cells.next(), "an integer");
+      e.dst = parse_field_or_throw<std::int32_t>(cells.next(), "an integer");
+      e.num_flits = parse_count<std::uint32_t>(cells.next());
+      e.inject_cycle = parse_count<std::uint64_t>(cells.next());
+      e.eject_cycle = parse_count<std::uint64_t>(cells.next());
       // The latency column is derived on dump; require ordered timestamps
       // and an agreeing value so a hand-edited trace cannot carry
       // contradictory timing.
       if (e.eject_cycle < e.inject_cycle)
         throw std::invalid_argument("eject_cycle precedes inject_cycle");
-      if (parse_u64(cells[6], std::numeric_limits<std::uint64_t>::max()) !=
+      if (parse_count<std::uint64_t>(cells.next()) !=
           e.eject_cycle - e.inject_cycle)
         throw std::invalid_argument("latency != eject_cycle - inject_cycle");
-      e.hops = static_cast<std::uint16_t>(
-          parse_u64(cells[7], std::numeric_limits<std::uint16_t>::max()));
+      e.hops = parse_count<std::uint16_t>(cells.next());
       if (with_payload) {
-        e.weights = parse_payload(cells[8]);
-        e.inputs = parse_payload(cells[9]);
+        e.weights = parse_payload(cells.next());
+        e.inputs = parse_payload(cells.next());
         // Half-half flitization zips the streams pairwise, so a payload-
         // carrying row must hold matched streams.
         if (e.weights.size() != e.inputs.size())

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -10,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/field_reader.h"
 #include "sim/run_journal.h"
 #include "sim/scenario_cache.h"
 #include "sim/scenario_runner.h"
@@ -17,27 +17,14 @@
 namespace nocbt::sim {
 
 ShardSpec parse_shard_spec(const std::string& s) {
-  const auto bad = [&]() -> std::invalid_argument {
-    return std::invalid_argument(
+  FieldReader in(s, '/');
+  ShardSpec shard;
+  if (in.remaining() != 2 || !in.read(shard.index) || !in.read(shard.count) ||
+      shard.count < 1 || shard.index >= shard.count)
+    throw std::invalid_argument(
         "parse_shard_spec: expected i/N with N >= 1 and i < N (e.g. \"0/4\"), "
         "got '" +
         s + "'");
-  };
-  const std::size_t slash = s.find('/');
-  if (slash == std::string::npos) throw bad();
-  const auto parse_u32 = [&](std::size_t first,
-                             std::size_t last) -> std::uint32_t {
-    std::uint32_t v = 0;
-    const char* begin = s.data() + first;
-    const char* end = s.data() + last;
-    const auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc{} || ptr != end || begin == end) throw bad();
-    return v;
-  };
-  ShardSpec shard;
-  shard.index = parse_u32(0, slash);
-  shard.count = parse_u32(slash + 1, s.size());
-  if (shard.count < 1 || shard.index >= shard.count) throw bad();
   return shard;
 }
 

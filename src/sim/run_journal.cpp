@@ -1,16 +1,17 @@
 #include "sim/run_journal.h"
 
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/field_reader.h"
 #include "sim/scenario_cache.h"
 
 namespace nocbt::sim {
 
 namespace {
 
-constexpr const char* kJournalMagic = "nocbt-journal v1 ";
+constexpr std::string_view kJournalMagic = "nocbt-journal v1 ";
 
 std::string header_line(const std::string& campaign_hash,
                         std::uint64_t total) {
@@ -19,26 +20,19 @@ std::string header_line(const std::string& campaign_hash,
 }
 
 /// Parse "nocbt-journal v1 campaign=<32hex> total=<N>".
-bool parse_header(const std::string& line, std::string& hash,
+bool parse_header(std::string_view line, std::string& hash,
                   std::uint64_t& total) {
-  const std::string magic(kJournalMagic);
-  if (line.compare(0, magic.size(), magic) != 0) return false;
-  std::string rest = line.substr(magic.size());
-  const std::string campaign_key = "campaign=";
-  if (rest.compare(0, campaign_key.size(), campaign_key) != 0) return false;
-  rest = rest.substr(campaign_key.size());
-  const std::size_t space = rest.find(' ');
-  if (space == std::string::npos) return false;
-  hash = rest.substr(0, space);
-  if (hash.size() != 32) return false;
-  const std::string total_field = rest.substr(space + 1);
-  const std::string total_key = "total=";
-  if (total_field.compare(0, total_key.size(), total_key) != 0) return false;
-  const std::string n = total_field.substr(total_key.size());
-  const char* first = n.data();
-  const char* last = n.data() + n.size();
-  const auto [ptr, ec] = std::from_chars(first, last, total);
-  return ec == std::errc{} && ptr == last && !n.empty();
+  constexpr std::string_view kCampaign = "campaign=";
+  constexpr std::string_view kTotal = "total=";
+  if (!line.starts_with(kJournalMagic)) return false;
+  FieldReader in(line.substr(kJournalMagic.size()), ' ');
+  const std::string_view campaign = in.next();
+  const std::string_view count = in.next();
+  if (in.remaining() != 0 || !campaign.starts_with(kCampaign) ||
+      campaign.size() != kCampaign.size() + 32 || !count.starts_with(kTotal))
+    return false;
+  hash = campaign.substr(kCampaign.size());
+  return parse_field(count.substr(kTotal.size()), total) == std::errc{};
 }
 
 }  // namespace

@@ -7,10 +7,13 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
 
+#include "common/field_reader.h"
 #include "common/hash.h"
 #include "noc/noc_config.h"
 
@@ -19,17 +22,6 @@ namespace nocbt::sim {
 namespace {
 
 constexpr const char* kCacheHeader = "nocbt-scenario-cache v1";
-
-/// Shortest decimal string that parses back to exactly `v` — record
-/// doubles must round-trip bit-identically or merged/cached reports would
-/// drift from the serial run.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{})
-    throw std::logic_error("encode_result_record: cannot format double");
-  out.append(buf, ptr);
-}
 
 /// %-escape the record separators so an arbitrary error string stays on
 /// one line and one field.
@@ -54,7 +46,7 @@ int hex_nibble(char c) {
   return -1;
 }
 
-bool unescape(const std::string& s, std::string& out) {
+bool unescape(std::string_view s, std::string& out) {
   out.clear();
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i] != '%') {
@@ -71,37 +63,91 @@ bool unescape(const std::string& s, std::string& out) {
   return true;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last && !s.empty();
+/// The record's row fields, in on-disk order: encode_result_record writes
+/// and decode_result_record reads this one list. `Row` is ScenarioResult
+/// or const ScenarioResult.
+template <typename Row, typename Visit>
+void for_each_row_field(Row& row, Visit&& visit) {
+  visit(row.bt_baseline);
+  visit(row.bt_ordered);
+  visit(row.reduction);
+  visit(row.energy_baseline_pj);
+  visit(row.energy_pj);
+  visit(row.power_baseline_mw);
+  visit(row.power_mw);
+  visit(row.cycles);
+  visit(row.packets);
+  visit(row.flits);
+  visit(row.peak_backlog);
+  visit(row.avg_latency);
+  visit(row.avg_hops);
+  visit(row.drained);
+  visit(row.sim.engine);
+  visit(row.sim.cycles_stepped);
+  visit(row.sim.idle_cycles_skipped);
+  visit(row.sim.components_stepped);
+  visit(row.sim.components_skipped);
 }
 
-bool parse_i32(const std::string& s, std::int32_t& out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last && !s.empty();
+/// Each link row's fields, in on-disk order; the link rows follow the row
+/// fields and the link count.
+template <typename Link, typename Visit>
+constexpr void for_each_link_field(Link& link, Visit&& visit) {
+  visit(link.link_id);
+  visit(link.info.kind);
+  visit(link.info.src);
+  visit(link.info.dst);
+  visit(link.info.src_port);
+  visit(link.flits);
+  visit(link.transitions);
+  visit(link.energy_pj);
 }
 
-bool parse_f64(const std::string& s, double& out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last && !s.empty();
+/// Fields per link row, counted from the list above.
+constexpr std::size_t kLinkFields = [] {
+  hw::LinkEnergyRow link;
+  std::size_t n = 0;
+  for_each_link_field(link, [&n](auto&) { ++n; });
+  return n;
+}();
+
+/// The last value of each field stored as a small number: decode refuses
+/// anything past it.
+constexpr bool last_value(bool) { return true; }
+constexpr noc::SimEngine last_value(noc::SimEngine) {
+  return noc::SimEngine::kAnalytical;
+}
+constexpr noc::LinkKind last_value(noc::LinkKind) {
+  return noc::LinkKind::kEjection;
 }
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == ',') {
-      out.push_back(line.substr(start, i - start));
-      start = i + 1;
-    }
+/// Append ",v": integers in decimal, bools and enums as their number, and
+/// doubles in std::to_chars's shortest round-trip form, so a decoded row is
+/// bit-identical to the in-memory one.
+template <typename T>
+void write_field(std::string& out, T v) {
+  if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    write_field(out, static_cast<std::uint64_t>(v));
+  } else {
+    char buf[32];  // fits any 64-bit integer and any shortest double
+    out += ',';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
-  return out;
+}
+
+/// Read the next field into `v`; false on a malformed field or on an enum
+/// or bool past its last value.
+template <typename T>
+bool read_field(FieldReader& in, T& v) {
+  if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    std::uint64_t raw = 0;
+    if (!in.read(raw) || raw > static_cast<std::uint64_t>(last_value(v)))
+      return false;
+    v = static_cast<T>(raw);
+    return true;
+  } else {
+    return in.read(v);
+  }
 }
 
 /// Feed the bytes of `path` into `h`. Returns false when unreadable.
@@ -209,130 +255,63 @@ std::string encode_result_record(const std::string& content_hash,
                                  const ScenarioResult& row) {
   std::string out = "rec,v1,";
   out += content_hash;
-  out += ',';
-  out += std::to_string(index);
-  const auto add_u = [&out](std::uint64_t v) {
-    out += ',';
-    out += std::to_string(v);
-  };
-  const auto add_d = [&out](double v) {
-    out += ',';
-    append_double(out, v);
-  };
-  add_u(row.bt_baseline);
-  add_u(row.bt_ordered);
-  add_d(row.reduction);
-  add_d(row.energy_baseline_pj);
-  add_d(row.energy_pj);
-  add_d(row.power_baseline_mw);
-  add_d(row.power_mw);
-  add_u(row.cycles);
-  add_u(row.packets);
-  add_u(row.flits);
-  add_u(row.peak_backlog);
-  add_d(row.avg_latency);
-  add_d(row.avg_hops);
-  add_u(row.drained ? 1 : 0);
-  add_u(static_cast<std::uint64_t>(row.sim.engine));
-  add_u(row.sim.cycles_stepped);
-  add_u(row.sim.idle_cycles_skipped);
-  add_u(row.sim.components_stepped);
-  add_u(row.sim.components_skipped);
-  add_u(static_cast<std::uint64_t>(row.links.size()));
-  for (const hw::LinkEnergyRow& link : row.links) {
-    add_u(static_cast<std::uint64_t>(link.link_id));
-    add_u(static_cast<std::uint64_t>(link.info.kind));
-    out += ',';
-    out += std::to_string(link.info.src);
-    out += ',';
-    out += std::to_string(link.info.dst);
-    out += ',';
-    out += std::to_string(link.info.src_port);
-    add_u(link.flits);
-    add_u(link.transitions);
-    add_d(link.energy_pj);
-  }
+  write_field(out, index);
+  const auto field = [&out](auto v) { write_field(out, v); };
+  for_each_row_field(row, field);
+  write_field(out, static_cast<std::uint64_t>(row.links.size()));
+  for (const hw::LinkEnergyRow& link : row.links)
+    for_each_link_field(link, field);
   out += ',';
   append_escaped(out, row.error);
   // Self-checking suffix: the checksum covers every preceding byte, so a
   // torn append or a flipped bit is detected before a row is trusted.
-  const std::string cksum = fnv1a64_hex(out);
-  out += ',';
-  out += cksum;
+  out += ',' + fnv1a64_hex(out);
   return out;
 }
 
 bool decode_result_record(const std::string& line, DecodedRecord& out,
                           std::string& error) {
-  const std::size_t last_comma = line.rfind(',');
-  if (last_comma == std::string::npos || line.compare(0, 4, "rec,") != 0) {
-    error = "not a result record line";
+  if (!line.starts_with("rec,v1,")) {
+    error = "not a v1 result record line";
     return false;
   }
-  const std::string body = line.substr(0, last_comma);
-  const std::string cksum = line.substr(last_comma + 1);
-  if (fnv1a64_hex(body) != cksum) {
+  const std::string_view body(line.data(), line.rfind(','));
+  if (fnv1a64_hex(body) != std::string_view(line).substr(body.size() + 1)) {
     error = "checksum mismatch (truncated or corrupted record)";
     return false;
   }
-  const std::vector<std::string> f = split_fields(line);
-  // rec,v1,hash,index + 19 measurement fields + nlinks + 8*n + error + cksum
-  constexpr std::size_t kFixed = 26;
-  if (f.size() < kFixed || f[0] != "rec" || f[1] != "v1") {
-    error = "malformed record framing";
-    return false;
-  }
+  FieldReader in(body);
+  in.next();  // "rec"
+  in.next();  // "v1"
   out = DecodedRecord{};
-  out.content_hash = f[2];
-  std::uint64_t nlinks = 0;
-  std::uint64_t drained = 0;
-  std::uint64_t engine = 0;
+  out.content_hash = in.next();
   ScenarioResult& row = out.row;
-  bool ok = parse_u64(f[3], out.index) && parse_u64(f[4], row.bt_baseline) &&
-            parse_u64(f[5], row.bt_ordered) && parse_f64(f[6], row.reduction) &&
-            parse_f64(f[7], row.energy_baseline_pj) &&
-            parse_f64(f[8], row.energy_pj) &&
-            parse_f64(f[9], row.power_baseline_mw) &&
-            parse_f64(f[10], row.power_mw) && parse_u64(f[11], row.cycles) &&
-            parse_u64(f[12], row.packets) && parse_u64(f[13], row.flits) &&
-            parse_u64(f[14], row.peak_backlog) &&
-            parse_f64(f[15], row.avg_latency) &&
-            parse_f64(f[16], row.avg_hops) && parse_u64(f[17], drained) &&
-            parse_u64(f[18], engine) &&
-            parse_u64(f[19], row.sim.cycles_stepped) &&
-            parse_u64(f[20], row.sim.idle_cycles_skipped) &&
-            parse_u64(f[21], row.sim.components_stepped) &&
-            parse_u64(f[22], row.sim.components_skipped) &&
-            parse_u64(f[23], nlinks);
-  if (!ok || drained > 1 || engine > 2) {
+  bool ok = read_field(in, out.index);
+  const auto field = [&](auto& v) { ok = ok && read_field(in, v); };
+  for_each_row_field(row, field);
+  std::uint64_t nlinks = 0;
+  if (!ok || !read_field(in, nlinks)) {
     error = "malformed measurement field";
     return false;
   }
-  row.drained = drained == 1;
-  row.sim.engine = static_cast<noc::SimEngine>(engine);
-  if (f.size() != kFixed + 8 * nlinks) {
+  // The link rows and the error field are all that is left: check the
+  // count against them before allocating, so a forged count cannot ask
+  // for more links than the line holds.
+  const std::size_t left = in.remaining();
+  if (left == 0 || (left - 1) % kLinkFields != 0 ||
+      (left - 1) / kLinkFields != nlinks) {
     error = "link-row count disagrees with the field count";
     return false;
   }
   row.links.resize(nlinks);
-  for (std::uint64_t i = 0; i < nlinks; ++i) {
-    const std::size_t base = 24 + 8 * i;
-    hw::LinkEnergyRow& link = row.links[i];
-    std::uint64_t kind = 0;
-    ok = parse_i32(f[base], link.link_id) && parse_u64(f[base + 1], kind) &&
-         parse_i32(f[base + 2], link.info.src) &&
-         parse_i32(f[base + 3], link.info.dst) &&
-         parse_i32(f[base + 4], link.info.src_port) &&
-         parse_u64(f[base + 5], link.flits) &&
-         parse_u64(f[base + 6], link.transitions) &&
-         parse_f64(f[base + 7], link.energy_pj);
-    if (!ok || kind > 3) {
+  for (std::size_t i = 0; i < row.links.size(); ++i) {
+    for_each_link_field(row.links[i], field);
+    if (!ok) {
       error = "malformed link field in link row " + std::to_string(i);
       return false;
     }
-    link.info.kind = static_cast<noc::LinkKind>(kind);
   }
-  if (!unescape(f[kFixed + 8 * nlinks - 2], row.error)) {
+  if (!unescape(in.next(), row.error)) {
     error = "malformed escape in error field";
     return false;
   }

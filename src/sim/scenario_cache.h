@@ -20,12 +20,19 @@
 // determined by the hashed engine choice, so hashing either would only
 // split identical measurements across keys.
 //
-// Record format: one line, comma-separated, doubles emitted via
-// std::to_chars shortest-round-trip so a decoded row is bit-identical to
-// the in-memory one, terminated by an FNV-1a checksum field. A corrupted
-// or truncated record is rejected with a diagnostic naming the file and
-// the offending record, counted as a miss, and overwritten by the next
-// store — a damaged cache degrades to re-simulation, never to wrong rows.
+// Record format: one comma-separated line: `rec,v1,<hash>,<index>`, the
+// row fields, the link count, each link's fields, the %-escaped error
+// string, and an FNV-1a checksum of every preceding byte. The row and link
+// field orders live in one list each (scenario_cache.cpp), which encode
+// and decode both walk. Doubles are emitted via std::to_chars
+// shortest-round-trip so a decoded row is bit-identical to the in-memory
+// one. Decode reads each field with the strict parse_field
+// (common/field_reader.h), refuses an enum value past its last
+// enumerator, and checks the link count against the fields left before it
+// allocates. A corrupted, truncated or forged record is rejected with a
+// diagnostic naming the file and the offending record, counted as a miss,
+// and overwritten by the next store — a damaged cache degrades to
+// re-simulation, never to wrong rows.
 
 #include <cstdint>
 #include <mutex>
@@ -87,8 +94,9 @@ struct DecodedRecord {
 };
 
 /// Parse a record line. Returns false with `error` describing the defect
-/// (truncation, checksum mismatch, malformed field) — never throws on bad
-/// input, so callers decide whether a bad record is fatal.
+/// (truncation, checksum mismatch, malformed or out-of-range field, a link
+/// count the line does not hold) — never throws on bad input, so callers
+/// decide whether a bad record is fatal.
 [[nodiscard]] bool decode_result_record(const std::string& line,
                                         DecodedRecord& out,
                                         std::string& error);

@@ -94,12 +94,28 @@ TEST(Options, CheckKeysNamesTheUnknownKeyAndEveryValidOne) {
 TEST(Options, GetDoubleRejectsTrailingGarbage) {
   const Options opts = parse_args({"rate=0.5x", "exp=1e3junk", "ok=0.25",
                                    "sci=1e-3", "empty="});
-  EXPECT_THROW(opts.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("rate", 0.0), std::invalid_argument);
   EXPECT_THROW(opts.get_double("exp", 0.0), std::invalid_argument);
   EXPECT_THROW(opts.get_double("empty", 0.0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(opts.get_double("ok", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(opts.get_double("sci", 0.0), 1e-3);
   EXPECT_DOUBLE_EQ(opts.get_double("missing", 2.5), 2.5);
+}
+
+TEST(Options, SignedSpacedAndHexFloatSpellingsDoNotParse) {
+  // The strict parses read through parse_field, which takes neither a
+  // leading '+' nor leading whitespace, and reads no hex floats.
+  const Options opts = parse_args({"plus=+4", "space= 4", "rate=+0.5",
+                                   "spaced= 0.5", "hexfloat=0x1p-2"});
+  EXPECT_THROW((void)opts.get_int("plus", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("space", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("spaced", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("hexfloat", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)parse_int_strict("+4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_double_strict("0x1p-2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_int_strict("9223372036854775808"),
+               std::out_of_range);
 }
 
 TEST(Options, MergeDefaultsPrefersExplicitValues) {

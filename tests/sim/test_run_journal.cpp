@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -167,6 +168,82 @@ TEST(RunJournal, CorruptMiddleRecordIsSkippedOthersKept) {
   ASSERT_EQ(contents.warnings.size(), 1u);
   EXPECT_NE(contents.warnings[0].find("record 1"), std::string::npos)
       << contents.warnings[0];
+}
+
+TEST(JournalFuzz, SeededTruncationsAndFlipsKeepEveryIntactRecord) {
+  // A 3-row journal of rows with link rows, damaged per seed: each record
+  // may get one byte flipped (never into a newline, which would split it
+  // into two lines), and the file may be cut anywhere past the header.
+  const std::string path = testing::TempDir() + "nocbt_journal_fuzz.jnl";
+  std::vector<ScenarioResult> rows;
+  {
+    RunJournal journal(path, std::string(32, 'c'), 3, /*fresh=*/true);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      ScenarioResult row = fake_row(ScenarioSpec{}, i);
+      row.links.resize(2 + i);
+      for (std::size_t k = 0; k < row.links.size(); ++k) {
+        row.links[k].link_id = static_cast<std::int32_t>(k);
+        row.links[k].transitions = 1000 * i + k;
+        row.links[k].energy_pj = 0.25 * static_cast<double>(k + i);
+      }
+      journal.append(std::string(32, static_cast<char>('a' + i)), i, row);
+      rows.push_back(row);
+    }
+  }
+  const std::string clean = read_file(path);
+  // [begin, end) of each record's text, its newline excluded.
+  std::vector<std::size_t> begin;
+  std::vector<std::size_t> end;
+  for (std::size_t at = clean.find('\n') + 1; at < clean.size();
+       at = end.back() + 1) {
+    begin.push_back(at);
+    end.push_back(clean.find('\n', at));
+  }
+  ASSERT_EQ(begin.size(), 3u);
+
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::string bytes = clean;
+    bool flipped[3] = {};
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (rng() % 2 == 0) continue;
+      const std::size_t at = begin[i] + rng() % (end[i] - begin[i]);
+      char flip = bytes[at];
+      while (flip == bytes[at] || flip == '\n')
+        flip = static_cast<char>(rng() % 256);
+      bytes[at] = flip;
+      flipped[i] = true;
+    }
+    const std::size_t cut =
+        rng() % 2 == 0 ? bytes.size()
+                       : begin[0] + rng() % (bytes.size() - begin[0] + 1);
+    bytes.resize(cut);
+    write_file(path, bytes);
+
+    const JournalContents contents = read_journal(path);
+    ASSERT_TRUE(contents.header_ok) << "seed " << seed;
+    std::size_t intact = 0;
+    std::vector<std::string> damaged;
+    for (std::size_t i = 0; i < 3; ++i) {
+      const bool whole = end[i] <= cut;
+      const bool torn = begin[i] < cut && cut < end[i];
+      const std::string hash(32, static_cast<char>('a' + i));
+      if (whole && !flipped[i]) {
+        ++intact;
+        ASSERT_TRUE(contents.rows.count(hash)) << "seed " << seed;
+        ScenarioResult got = contents.rows.at(hash);
+        got.spec = rows[i].spec;
+        EXPECT_TRUE(got == rows[i]) << "seed " << seed << " record " << i;
+      } else if (torn || whole) {
+        damaged.push_back("record " + std::to_string(i + 1) + ":");
+      }
+    }
+    EXPECT_EQ(contents.rows.size(), intact) << "seed " << seed;
+    ASSERT_EQ(contents.warnings.size(), damaged.size()) << "seed " << seed;
+    for (std::size_t w = 0; w < damaged.size(); ++w)
+      EXPECT_NE(contents.warnings[w].find(damaged[w]), std::string::npos)
+          << "seed " << seed << ": " << contents.warnings[w];
+  }
 }
 
 TEST(MergeCampaign, ReassemblesShardJournalsInGridOrder) {

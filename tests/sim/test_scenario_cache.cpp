@@ -1,7 +1,8 @@
 // Tests for the content-addressed scenario cache: the hash-key domain
 // (what makes two scenarios "the same measurement"), the self-checking
-// record codec's exact round trip, and the store's corruption handling —
-// a damaged entry must degrade to a diagnosed miss, never a wrong row.
+// record codec's exact round trip and on-disk bytes, and the store's
+// corruption handling — a damaged or forged entry must degrade to a
+// diagnosed miss, never a wrong row or an exception.
 
 #include <gtest/gtest.h>
 
@@ -9,11 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
+#include <vector>
 
+#include "common/hash.h"
 #include "sim/campaign.h"
+#include "sim/run_journal.h"
 #include "sim/scenario_cache.h"
 
 namespace nocbt::sim {
@@ -71,6 +76,63 @@ ScenarioResult fat_result(const ScenarioSpec& spec) {
   row.links.push_back(link);
   row.error = "odd, error\nwith 100% separators\r";
   return row;
+}
+
+/// The line encode_result_record wrote for fat_result(synthetic_spec()) at
+/// index 17 before the codec walked one field list. Caches and journals on
+/// disk hold lines like it, so it must decode and re-encode byte for byte;
+/// never re-record it to make a codec change pass.
+constexpr char kPinnedRecord[] =
+    "rec,v1,3a831281f48a60f1efd2630ce1cc06c2,17,123456789,98765,0.1,1e+300,"
+    "5e-324,-0,3.141592653589793,4242,24,96,7,11.5,2.25,1,2,10,20,30,40,2,"
+    "3,0,1,2,-1,12,345,59.685,9,1,1,2,-1,12,345,59.685,"
+    "odd%2c error%0awith 100%25 separators%0d,0cc277dfd782e146";
+
+/// Field numbers in a record line: rec, v1, hash, index, 19 row fields,
+/// then the link count and 8 fields per link row.
+constexpr std::size_t kLinkCountField = 23;
+constexpr std::size_t kFirstLinkKindField = 25;
+
+std::vector<std::string> record_fields(const std::string& line) {
+  std::vector<std::string> fields(1);
+  for (const char c : line) {
+    if (c == ',')
+      fields.emplace_back();
+    else
+      fields.back() += c;
+  }
+  return fields;
+}
+
+/// `line` with field `i` replaced by `value` and its checksum recomputed,
+/// so the field parser, not the checksum, has to refuse it.
+std::string forge(const std::string& line, std::size_t i,
+                  const std::string& value) {
+  std::vector<std::string> fields = record_fields(line);
+  fields[i] = value;
+  fields.pop_back();  // the old checksum
+  std::string body;
+  for (const std::string& f : fields) body += (body.empty() ? "" : ",") + f;
+  return body + "," + fnv1a64_hex(body);
+}
+
+/// decode_result_record, failing the test if it throws.
+bool decodes(const std::string& line, DecodedRecord& decoded,
+             std::string& error) {
+  bool ok = false;
+  EXPECT_NO_THROW(ok = decode_result_record(line, decoded, error)) << line;
+  return ok;
+}
+
+/// A one-link record with a forged link count of 2^61 + 1: 8 link fields
+/// times that count wraps to 8 in 64 bits, the one link row it holds.
+std::string forged_link_count_record() {
+  const ScenarioSpec spec = synthetic_spec();
+  ScenarioResult row = fat_result(spec);
+  row.links.resize(1);
+  return forge(
+      encode_result_record(scenario_content_key(spec, "").hash, 17, row),
+      kLinkCountField, "2305843009213693953");
 }
 
 TEST(ContentKey, SyntheticScenarioIsCacheable) {
@@ -246,6 +308,105 @@ TEST(ResultRecord, RejectsTruncationAndCorruption) {
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
   EXPECT_FALSE(decode_result_record("", decoded, error));
   EXPECT_FALSE(decode_result_record("not,a,record", decoded, error));
+}
+
+TEST(ResultRecord, PinnedBytesDecodeAndReencodeExactly) {
+  const ScenarioSpec spec = synthetic_spec();
+  DecodedRecord decoded;
+  std::string error;
+  ASSERT_TRUE(decodes(kPinnedRecord, decoded, error)) << error;
+  EXPECT_EQ(decoded.content_hash, scenario_content_key(spec, "").hash);
+  EXPECT_EQ(decoded.index, 17u);
+  decoded.row.spec = spec;
+  EXPECT_TRUE(decoded.row == fat_result(spec));
+  EXPECT_EQ(encode_result_record(decoded.content_hash, decoded.index,
+                                 decoded.row),
+            kPinnedRecord);
+  EXPECT_EQ(encode_result_record(decoded.content_hash, 17, fat_result(spec)),
+            kPinnedRecord);
+}
+
+TEST(ResultRecord, RefusesALinkKindPastItsEnum) {
+  DecodedRecord decoded;
+  std::string error;
+  EXPECT_FALSE(
+      decodes(forge(kPinnedRecord, kFirstLinkKindField, "3"), decoded, error));
+  EXPECT_NE(error.find("link row 0"), std::string::npos) << error;
+}
+
+TEST(ResultRecord, RefusesALinkCountPastTheFieldsLeft) {
+  DecodedRecord decoded;
+  std::string error;
+  EXPECT_FALSE(decodes(forged_link_count_record(), decoded, error));
+  EXPECT_NE(error.find("link-row count"), std::string::npos) << error;
+}
+
+TEST(ResultRecord, ForgedRecordsAreACacheMissAndASkippedJournalRecord) {
+  const ScenarioSpec spec = synthetic_spec();
+  const std::string hash = scenario_content_key(spec, "").hash;
+  const std::vector<std::string> forged = {
+      forge(kPinnedRecord, kFirstLinkKindField, "3"),
+      forged_link_count_record()};
+
+  const std::string dir = testing::TempDir() + "nocbt_cache_forged";
+  for (const std::string& line : forged) {
+    { ScenarioCache make_dir(dir); }
+    std::ofstream(dir + "/" + hash + ".row", std::ios::binary)
+        << "nocbt-scenario-cache v1\n" << line << "\n";
+    ScenarioCache reader(dir);
+    std::optional<ScenarioResult> hit;
+    EXPECT_NO_THROW(hit = reader.lookup(spec, hash));
+    EXPECT_FALSE(hit.has_value());
+    EXPECT_EQ(reader.misses(), 1u);
+    EXPECT_EQ(reader.take_diagnostics().size(), 1u);
+  }
+
+  const std::string path = testing::TempDir() + "nocbt_journal_forged.jnl";
+  { RunJournal header(path, std::string(32, 'a'), 3, /*fresh=*/true); }
+  std::ofstream(path, std::ios::binary | std::ios::app)
+      << kPinnedRecord << "\n" << forged[0] << "\n" << forged[1] << "\n";
+  JournalContents contents;
+  EXPECT_NO_THROW(contents = read_journal(path));
+  ASSERT_TRUE(contents.header_ok);
+  EXPECT_EQ(contents.rows.size(), 1u) << "the intact record still resumes";
+  ASSERT_EQ(contents.warnings.size(), 2u);
+  EXPECT_NE(contents.warnings[0].find("record 2"), std::string::npos)
+      << contents.warnings[0];
+  EXPECT_NE(contents.warnings[1].find("record 3"), std::string::npos)
+      << contents.warnings[1];
+}
+
+TEST(RecordFuzz, EveryFieldMutantIsRefusedOrReencodedExactly) {
+  // Every field but the checksum, replaced by each junk value and resealed:
+  // the decoder must refuse the mutant with a diagnostic or accept a row
+  // that re-encodes to the very same line, with every enum in range.
+  const std::vector<std::string> junk = {
+      "",    "-1",  "+1", " 1", "1x", "18446744073709551616", "1e999",
+      "2",   "3",   "256"};
+  const std::size_t fields = record_fields(kPinnedRecord).size();
+  std::size_t refused = 0;
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i + 1 < fields; ++i)
+    for (const std::string& value : junk) {
+      const std::string mutant = forge(kPinnedRecord, i, value);
+      DecodedRecord decoded;
+      std::string error;
+      if (!decodes(mutant, decoded, error)) {
+        ++refused;
+        EXPECT_FALSE(error.empty()) << mutant;
+        continue;
+      }
+      ++accepted;
+      EXPECT_EQ(encode_result_record(decoded.content_hash, decoded.index,
+                                     decoded.row),
+                mutant)
+          << "field " << i << " = '" << value << "'";
+      EXPECT_STRNE(noc::to_string(decoded.row.sim.engine), "?") << mutant;
+      for (const hw::LinkEnergyRow& link : decoded.row.links)
+        EXPECT_NE(noc::to_string(link.info.kind), "?") << mutant;
+    }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST(ScenarioCache, MemoryOnlyStoreServesHits) {
